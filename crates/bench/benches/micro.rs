@@ -43,7 +43,7 @@ fn bench_lstm(c: &mut Criterion) {
         vocab: 64,
         embed_dim: 16,
         hidden: 32,
-        lstm_layers: 2,
+        layers: 2,
         use_gap_feature: true,
     };
     let mut rng = SmallRng::seed_from_u64(1);

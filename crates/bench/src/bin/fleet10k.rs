@@ -28,7 +28,7 @@ use nfv_detect::codec::LogCodec;
 use nfv_detect::detector::AnomalyDetector;
 use nfv_detect::group_store::GroupModelStore;
 use nfv_detect::grouping::Grouping;
-use nfv_detect::lstm_detector::{LstmDetector, LstmDetectorConfig};
+use nfv_detect::seq_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_simnet::{MegaFleet, SimConfig};
 use nfv_syslog::time::month_start;
 use nfv_syslog::LogStream;

@@ -18,9 +18,9 @@ use nfv_detect::codec::LogCodec;
 use nfv_detect::detector::AnomalyDetector;
 use nfv_detect::eval::{fleet_mapping, sweep_prc};
 use nfv_detect::grouping::Grouping;
-use nfv_detect::lstm_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_detect::mapping::MappingConfig;
 use nfv_detect::pipeline::{MonthScores, PipelineRun};
+use nfv_detect::seq_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_simnet::{FleetTrace, SimConfig, SimPreset, TicketCause};
 use nfv_syslog::time::{month_start, DAY};
 use nfv_syslog::LogStream;

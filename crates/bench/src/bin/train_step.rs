@@ -223,8 +223,8 @@ impl RefModel {
     fn from_model(model: &SequenceModel) -> RefModel {
         let cfg = model.config().clone();
         let params = model.params();
-        let mut layers = Vec::with_capacity(cfg.lstm_layers);
-        for l in 0..cfg.lstm_layers {
+        let mut layers = Vec::with_capacity(cfg.layers);
+        for l in 0..cfg.layers {
             layers.push(RefLstm {
                 wx: params[1 + 3 * l].clone(),
                 wh: params[2 + 3 * l].clone(),
@@ -429,7 +429,7 @@ fn main() {
 
     println!(
         "config\tvocab {} embed {} hidden {} layers {} batch {} window {}",
-        cfg.vocab, cfg.embed_dim, cfg.hidden, cfg.lstm_layers, batch, window
+        cfg.vocab, cfg.embed_dim, cfg.hidden, cfg.layers, batch, window
     );
     println!("baseline\t{:.3} ms/step", baseline_ms);
     println!("trainer\t{:.3} ms/step", trainer_ms);
@@ -443,7 +443,7 @@ fn main() {
                 "vocab": cfg.vocab,
                 "embed_dim": cfg.embed_dim,
                 "hidden": cfg.hidden,
-                "lstm_layers": cfg.lstm_layers,
+                "lstm_layers": cfg.layers,
                 "use_gap_feature": cfg.use_gap_feature,
                 "batch": batch,
                 "window": window,

@@ -1,20 +1,28 @@
-//! Deployable model bundles: codec + trained LSTM + operating
-//! parameters, serialized as one JSON file so a detector can be trained
-//! offline and shipped to a monitoring host (the `nfvpredict` CLI's
-//! `train`/`detect` workflow).
+//! Deployable model bundles: codec + trained next-template model +
+//! operating parameters, serialized as one JSON file so a detector can
+//! be trained offline and shipped to a monitoring host (the `nfvpredict`
+//! CLI's `train`/`detect` workflow). The model's checkpoint tag names
+//! its recurrent cell, so LSTM and GRU bundles load through the same
+//! path.
 //!
 //! Bundles share the checksummed envelope format of
 //! [`nfv_nn::checkpoint`]: a flipped byte, truncated file, or
 //! incompatible shape surfaces as a typed [`CheckpointError`] instead of
-//! a panic or a silently-wrong detector, and saves are atomic.
+//! a panic or a silently-wrong detector, and saves are atomic. A bundle
+//! whose codec and model disagree on the vocabulary, or whose window is
+//! empty, is refused on unpack rather than panicking on the first
+//! scored window.
 
 use crate::codec::{LogCodec, SavedCodec};
-use crate::lstm_detector::{LstmDetector, LstmDetectorConfig};
+use crate::detector::WindowScorer;
 use crate::mapping::MappingConfig;
 use crate::online::OnlineMonitor;
+use crate::seq_detector::SeqDetector;
 use nfv_nn::checkpoint::{
     atomic_write_tagged, load_with_retry, open_envelope, seal_envelope, Checkpoint, CheckpointError,
 };
+use nfv_nn::{GruLayer, LstmLayer, RecurrentCell, RecurrentModel};
+use nfv_syslog::vocab::UNKNOWN_ID;
 use serde_json::{json, Value};
 use std::io;
 use std::path::Path;
@@ -27,7 +35,7 @@ pub const BUNDLE_FORMAT: &str = "nfv-model-bundle";
 /// A bundle unpacked once and shared across many monitors.
 ///
 /// [`ModelBundle::try_unpack`] reconstructs the codec table and the
-/// full LSTM weight set; doing that per feed multiplies the fleet's
+/// full model weight set; doing that per feed multiplies the fleet's
 /// memory by the model size. `SharedModel` holds one `Arc`'d copy and
 /// [`SharedModel::monitor`] stamps out per-feed monitors that borrow
 /// it, so N feeds cost one model plus N × O(window) cursor state.
@@ -36,7 +44,7 @@ pub struct SharedModel {
     /// The template codec, shared by every monitor.
     pub codec: Arc<LogCodec>,
     /// The trained detector, shared by every monitor.
-    pub detector: Arc<LstmDetector>,
+    pub detector: Arc<dyn WindowScorer>,
     /// Calibrated anomaly threshold.
     pub threshold: f32,
     /// Clustering/mapping parameters.
@@ -61,7 +69,7 @@ impl SharedModel {
 pub struct ModelBundle {
     /// The template codec.
     pub codec: SavedCodec,
-    /// The trained sequence model.
+    /// The trained sequence model; its tag names the recurrent cell.
     pub model: Checkpoint,
     /// Window length k used at training time.
     pub window: usize,
@@ -76,11 +84,11 @@ pub struct ModelBundle {
 }
 
 impl ModelBundle {
-    /// Packs a trained detector, its codec, and the chosen operating
-    /// threshold into a bundle.
-    pub fn pack(
+    /// Packs a trained detector (either cell), its codec, and the chosen
+    /// operating threshold into a bundle.
+    pub fn pack<C: RecurrentCell>(
         codec: &LogCodec,
-        detector: &LstmDetector,
+        detector: &SeqDetector<C>,
         threshold: f32,
         mapping: &MappingConfig,
     ) -> ModelBundle {
@@ -95,27 +103,48 @@ impl ModelBundle {
         }
     }
 
-    /// Reconstructs the codec and detector, validating the embedded
-    /// checkpoint against the architecture its dims describe.
-    pub fn try_unpack(&self) -> Result<(LogCodec, LstmDetector), CheckpointError> {
-        let codec = LogCodec::from_saved(&self.codec);
-        let model = nfv_nn::SequenceModel::try_from_checkpoint(&self.model)?;
-        let cfg = LstmDetectorConfig {
-            vocab: model.config().vocab,
-            window: self.window,
-            embed_dim: model.config().embed_dim,
-            hidden: model.config().hidden,
-            lstm_layers: model.config().lstm_layers,
-            use_gap_feature: model.config().use_gap_feature,
-            ..Default::default()
+    /// Reconstructs the codec and detector, picking the recurrent cell
+    /// from the checkpoint tag and validating the embedded checkpoint
+    /// against the architecture its dims describe. A window of 0, or a
+    /// codec that can emit a template id outside the model's vocabulary,
+    /// is refused here instead of panicking on the first scored window.
+    pub fn try_unpack(&self) -> Result<(LogCodec, Box<dyn WindowScorer>), CheckpointError> {
+        if self.window == 0 {
+            return Err(CheckpointError::Invalid("bundle window must be non-zero".into()));
+        }
+        let detector = match self.model.tag.as_str() {
+            LstmLayer::TAG => self.detector::<LstmLayer>()?,
+            GruLayer::TAG => self.detector::<GruLayer>()?,
+            other => {
+                return Err(CheckpointError::Invalid(format!(
+                    "unknown model tag {:?} (expected {:?} or {:?})",
+                    other,
+                    LstmLayer::TAG,
+                    GruLayer::TAG
+                )))
+            }
         };
-        let detector = LstmDetector::from_model(cfg, model);
-        Ok((codec, detector))
+        Ok((LogCodec::from_saved(&self.codec), detector))
+    }
+
+    /// The bundle's model as a `C` detector, checked against the codec's
+    /// template ids.
+    fn detector<C: RecurrentCell>(&self) -> Result<Box<dyn WindowScorer>, CheckpointError> {
+        let model = RecurrentModel::<C>::try_from_checkpoint(&self.model)?;
+        let vocab = model.config().vocab;
+        let max_id = self.codec.patterns.iter().map(|&(_, id)| id).fold(UNKNOWN_ID, usize::max);
+        if max_id >= vocab {
+            return Err(CheckpointError::Invalid(format!(
+                "codec emits template id {} but the model vocabulary is {}",
+                max_id, vocab
+            )));
+        }
+        Ok(Box::new(SeqDetector::from_model(model, self.window)))
     }
 
     /// Panicking convenience wrapper around [`ModelBundle::try_unpack`]
     /// for bundles known to be valid (e.g. packed in-process).
-    pub fn unpack(&self) -> (LogCodec, LstmDetector) {
+    pub fn unpack(&self) -> (LogCodec, Box<dyn WindowScorer>) {
         self.try_unpack().expect("valid model bundle")
     }
 
@@ -125,7 +154,7 @@ impl ModelBundle {
         let (codec, detector) = self.try_unpack()?;
         Ok(SharedModel {
             codec: Arc::new(codec),
-            detector: Arc::new(detector),
+            detector: Arc::from(detector),
             threshold: self.threshold,
             mapping: self.mapping(),
         })
@@ -221,6 +250,7 @@ impl ModelBundle {
 mod tests {
     use super::*;
     use crate::detector::AnomalyDetector;
+    use crate::seq_detector::{GruDetector, GruDetectorConfig, LstmDetector, LstmDetectorConfig};
     use nfv_syslog::message::Severity;
     use nfv_syslog::{LogStream, SyslogMessage};
 
@@ -368,5 +398,70 @@ mod tests {
             Err(other) => panic!("expected Invalid, got {:?}", other),
             Ok(_) => panic!("expected Invalid, got Ok"),
         }
+        // A one-class vocabulary cannot build a model.
+        let mut bundle3 = small_bundle();
+        bundle3.model.dims[0] = 1;
+        match bundle3.try_unpack() {
+            Err(CheckpointError::Invalid(_)) => {}
+            Err(other) => panic!("expected Invalid, got {:?}", other),
+            Ok(_) => panic!("expected Invalid, got Ok"),
+        }
+    }
+
+    /// Seals `bundle` with a valid checksum and unpacks it again.
+    fn unpack_sealed(bundle: &ModelBundle) -> Result<(), CheckpointError> {
+        let text = seal_envelope(BUNDLE_FORMAT, bundle.to_value());
+        ModelBundle::from_envelope_str(&text)?.try_unpack().map(|_| ())
+    }
+
+    #[test]
+    fn zero_window_is_a_typed_error() {
+        let mut bundle = small_bundle();
+        bundle.window = 0;
+        match unpack_sealed(&bundle) {
+            Err(CheckpointError::Invalid(msg)) => assert!(msg.contains("window"), "{msg}"),
+            other => panic!("expected Invalid, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn codec_id_outside_model_vocabulary_is_a_typed_error() {
+        let mut bundle = small_bundle();
+        let vocab = bundle.model.dims[0];
+        bundle.codec.patterns.push(("chassis alarm storm detected".into(), vocab));
+        match unpack_sealed(&bundle) {
+            Err(CheckpointError::Invalid(msg)) => assert!(msg.contains("vocabulary"), "{msg}"),
+            other => panic!("expected Invalid, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn gru_bundle_roundtrips_through_save_and_load() {
+        let msgs = sample_messages();
+        let codec = LogCodec::train(&msgs, 4);
+        let mut det = GruDetector::new(GruDetectorConfig {
+            vocab: codec.vocab_size(),
+            window: 4,
+            embed_dim: 6,
+            hidden: 8,
+            epochs: 1,
+            max_train_windows: 500,
+            ..Default::default()
+        });
+        let stream = codec.encode_stream(&msgs);
+        det.fit(&[&stream]);
+
+        let dir = std::env::temp_dir().join("nfv_bundle_gru_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bundle.json");
+        ModelBundle::pack(&codec, &det, 3.5, &MappingConfig::default()).save(&path).unwrap();
+        let loaded = ModelBundle::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.model.tag, "gru-sequence-model");
+
+        let shared = loaded.try_unpack_shared().unwrap();
+        assert_eq!(shared.detector.name(), "gru");
+        assert_eq!(shared.detector.window(), 4);
+        assert_eq!(shared.detector.score(&stream, 0, u64::MAX), det.score(&stream, 0, u64::MAX));
     }
 }

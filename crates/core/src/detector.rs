@@ -9,6 +9,7 @@
 //! LSTM, Autoencoder and OC-SVM for a fair comparison (§5.2).
 
 use nfv_nn::checkpoint::CheckpointError;
+use nfv_syslog::stream::WindowSet;
 use nfv_syslog::LogStream;
 use serde_json::Value;
 
@@ -82,6 +83,21 @@ pub trait AnomalyDetector: Send + Sync {
     /// must match [`AnomalyDetector::name`]; shape or tag mismatches
     /// surface as typed errors, never panics.
     fn load_state(&mut self, state: &Value) -> Result<(), CheckpointError>;
+}
+
+/// A next-template detector the streaming path can drive: it scores
+/// prebuilt fixed-length windows. [`crate::online::OnlineMonitor`] and
+/// [`crate::bundle::SharedModel`] hold one as a trait object, so every
+/// recurrent cell serves through the same path; the trait object is
+/// called once per batch, and the forward pass behind it stays
+/// statically dispatched.
+pub trait WindowScorer: AnomalyDetector {
+    /// The window length k every scored window must have.
+    fn window(&self) -> usize;
+
+    /// Scores prebuilt windows, one [`ScoredEvent`] per window in window
+    /// order. A window's score never depends on how it was batched.
+    fn score_events(&self, ws: &WindowSet) -> Vec<ScoredEvent>;
 }
 
 #[cfg(test)]

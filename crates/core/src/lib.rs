@@ -14,7 +14,7 @@
 //! * **adaptation** — after a software update shifts the syslog
 //!   distribution, a transfer-learning step (freeze bottom layers,
 //!   fine-tune the top on ~1 week of data) restores the model quickly
-//!   ([`lstm_detector`]).
+//!   ([`seq_detector`]).
 //!
 //! The crate also implements the paper's baselines (TF-IDF autoencoder,
 //! One-Class SVM) plus a PCA detector from related work
@@ -52,15 +52,14 @@ pub mod eval;
 pub mod features;
 pub mod group_store;
 pub mod grouping;
-pub mod gru_detector;
 pub mod hmm_detector;
-pub mod lstm_detector;
 pub mod mapping;
 pub mod online;
 pub mod par;
 pub mod pipeline;
 pub mod pipeline_ckpt;
 pub mod report;
+pub mod seq_detector;
 pub mod serve;
 pub mod spsc;
 pub mod state;
@@ -70,17 +69,19 @@ pub mod triage;
 pub use baselines::{AutoencoderDetector, OcsvmDetector, PcaDetector};
 pub use bundle::{ModelBundle, SharedModel};
 pub use codec::LogCodec;
-pub use detector::{AnomalyDetector, ScoredEvent};
+pub use detector::{AnomalyDetector, ScoredEvent, WindowScorer};
 pub use group_store::{GroupModelStore, VpeCursor};
 pub use grouping::Grouping;
-pub use gru_detector::{GruDetector, GruDetectorConfig};
 pub use hmm_detector::{HmmDetector, HmmDetectorConfig};
-pub use lstm_detector::{LstmDetector, LstmDetectorConfig};
 pub use mapping::{MappingConfig, MappingResult};
 pub use online::{OnlineMonitor, Warning};
 pub use pipeline::{
     run_pipeline, CheckpointConfig, CrashPoint, DetectorKind, PipelineConfig, PipelineError,
     PipelineEvent, PipelineRun,
+};
+pub use seq_detector::{
+    GruDetector, GruDetectorConfig, LstmDetector, LstmDetectorConfig, SeqDetector,
+    SeqDetectorConfig,
 };
 pub use serve::{
     FeedServeStats, LatencyHistogram, ServeConfig, ServeCore, ServeError, ServeEvent, ServeState,

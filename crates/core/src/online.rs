@@ -7,13 +7,14 @@
 //! > evaluation.
 //!
 //! The monitor keeps only O(window) state per feed, and the heavy
-//! immutable pieces — codec table and LSTM weights — live behind
-//! [`Arc`]s so a fleet of feeds shares one model allocation (see
-//! [`crate::bundle::SharedModel`]). One process can track a whole
-//! fleet.
+//! immutable pieces — codec table and recurrent-model weights — live
+//! behind [`Arc`]s so a fleet of feeds shares one model allocation (see
+//! [`crate::bundle::SharedModel`]). The detector is any
+//! [`WindowScorer`], so every recurrent cell serves through this one
+//! path. One process can track a whole fleet.
 
 use crate::codec::LogCodec;
-use crate::lstm_detector::LstmDetector;
+use crate::detector::WindowScorer;
 use crate::mapping::MappingConfig;
 use crate::state::{
     array_field, bool_field, f32_from_bits, require, str_field, u64_field, usize_field,
@@ -47,7 +48,7 @@ pub struct Warning {
 /// [`OnlineMonitor::new_shared`].
 pub struct OnlineMonitor {
     codec: Arc<LogCodec>,
-    detector: Arc<LstmDetector>,
+    detector: Arc<dyn WindowScorer>,
     threshold: f32,
     mapping: MappingConfig,
     /// Trailing context records, `window + 1` long at most (every scored
@@ -64,7 +65,7 @@ pub struct OnlineMonitor {
     /// out-of-order arrivals).
     last_time: u64,
     /// Score every `stride`-th eligible window (1 = every window). The
-    /// serving runtime widens this in degraded mode to shed LSTM work
+    /// serving runtime widens this in degraded mode to shed model work
     /// while every message still updates context and counters.
     stride: usize,
     /// Eligible-window counter driving the stride phase.
@@ -83,11 +84,11 @@ impl OnlineMonitor {
     /// allocated once, not per feed.
     pub fn new(
         codec: LogCodec,
-        detector: LstmDetector,
+        detector: Box<dyn WindowScorer>,
         threshold: f32,
         mapping: MappingConfig,
     ) -> OnlineMonitor {
-        OnlineMonitor::new_shared(Arc::new(codec), Arc::new(detector), threshold, mapping)
+        OnlineMonitor::new_shared(Arc::new(codec), Arc::from(detector), threshold, mapping)
     }
 
     /// Builds a monitor over an already-shared codec and detector.
@@ -95,7 +96,7 @@ impl OnlineMonitor {
     /// ownership of the immutable model differs.
     pub fn new_shared(
         codec: Arc<LogCodec>,
-        detector: Arc<LstmDetector>,
+        detector: Arc<dyn WindowScorer>,
         threshold: f32,
         mapping: MappingConfig,
     ) -> OnlineMonitor {
@@ -127,7 +128,7 @@ impl OnlineMonitor {
         self.anomalies_seen
     }
 
-    /// Windows actually run through the LSTM.
+    /// Windows actually run through the model.
     pub fn windows_scored(&self) -> u64 {
         self.windows_scored
     }
@@ -145,16 +146,16 @@ impl OnlineMonitor {
     /// Sets the scoring stride: every `stride`-th eligible window is
     /// scored, the rest only update context. `stride` is clamped to at
     /// least 1. This is the serving runtime's graceful-degradation knob:
-    /// at stride *s* the LSTM cost per line drops by ~*s*× while parse,
-    /// dedup, and cluster bookkeeping stay exact. Skipped windows cannot
-    /// open or extend warning clusters, so sensitivity degrades
+    /// at stride *s* the forward-pass cost per line drops by ~*s*× while
+    /// parse, dedup, and cluster bookkeeping stay exact. Skipped windows
+    /// cannot open or extend warning clusters, so sensitivity degrades
     /// proportionally — which is the documented trade, not an accident.
     pub fn set_stride(&mut self, stride: usize) {
         self.stride = stride.max(1);
     }
 
     /// The shared detector this monitor scores with.
-    pub fn detector(&self) -> &Arc<LstmDetector> {
+    pub fn detector(&self) -> &Arc<dyn WindowScorer> {
         &self.detector
     }
 
@@ -171,7 +172,7 @@ impl OnlineMonitor {
     }
 
     /// Feeds a batch of messages, scoring their windows in one chunked
-    /// LSTM pass, and appends any warnings raised.
+    /// forward pass, and appends any warnings raised.
     ///
     /// Behaviourally identical to calling [`OnlineMonitor::observe`] per
     /// message — same monotonicization, same cluster rule, same warm-up
@@ -376,7 +377,7 @@ impl OnlineMonitor {
 mod tests {
     use super::*;
     use crate::detector::AnomalyDetector;
-    use crate::lstm_detector::LstmDetectorConfig;
+    use crate::seq_detector::{LstmDetector, LstmDetectorConfig};
     use nfv_syslog::message::Severity;
 
     fn msg(time: u64, text: &str) -> SyslogMessage {
@@ -419,7 +420,7 @@ mod tests {
         // Threshold: above all training scores.
         let max_score =
             det.score(&stream, 0, u64::MAX).iter().map(|e| e.score).fold(0.0f32, f32::max);
-        OnlineMonitor::new(codec, det, max_score * 1.05, MappingConfig::default())
+        OnlineMonitor::new(codec, Box::new(det), max_score * 1.05, MappingConfig::default())
     }
 
     #[test]

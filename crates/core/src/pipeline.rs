@@ -39,12 +39,11 @@ use crate::codec::LogCodec;
 use crate::detector::{AnomalyDetector, ScoredEvent};
 use crate::group_store::{GroupModelStore, VpeCursor};
 use crate::grouping::Grouping;
-use crate::gru_detector::{GruDetector, GruDetectorConfig};
 use crate::hmm_detector::{HmmDetector, HmmDetectorConfig};
-use crate::lstm_detector::{LstmDetector, LstmDetectorConfig};
 use crate::mapping::{map_clusters, warning_clusters, MappingConfig};
 use crate::par;
 use crate::pipeline_ckpt;
+use crate::seq_detector::{GruDetector, GruDetectorConfig, LstmDetector, LstmDetectorConfig};
 use nfv_nn::checkpoint::CheckpointError;
 use nfv_simnet::{FleetTrace, Ticket, TicketCause};
 use nfv_syslog::time::{month_start, DAY};

@@ -10,7 +10,7 @@ use nfv_detect::baselines::{
 };
 use nfv_detect::detector::AnomalyDetector;
 use nfv_detect::hmm_detector::{HmmDetector, HmmDetectorConfig};
-use nfv_detect::lstm_detector::{LstmDetector, LstmDetectorConfig};
+use nfv_detect::seq_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_syslog::{LogRecord, LogStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

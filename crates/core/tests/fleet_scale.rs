@@ -9,9 +9,9 @@ use nfv_detect::codec::LogCodec;
 use nfv_detect::detector::AnomalyDetector;
 use nfv_detect::group_store::GroupModelStore;
 use nfv_detect::grouping::Grouping;
-use nfv_detect::lstm_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_detect::pipeline::{run_pipeline, DetectorKind, PipelineConfig, PipelineRun};
 use nfv_detect::pipeline_ckpt::{self, PIPELINE_CKPT_FORMAT, PIPELINE_CKPT_LAYOUT};
+use nfv_detect::seq_detector::{LstmDetector, LstmDetectorConfig};
 use nfv_nn::checkpoint::{open_envelope, seal_envelope};
 use nfv_simnet::{FleetTrace, SimConfig, SimPreset};
 use nfv_syslog::time::month_start;

@@ -1,5 +1,5 @@
-//! A batched GRU layer with full back-propagation through time, plus the
-//! GRU variant of the next-template sequence model.
+//! A batched GRU layer with full back-propagation through time — the
+//! second [`RecurrentCell`] the next-template sequence model stacks.
 //!
 //! Gate layout follows Cho et al. 2014: for input `x_t` (`B x I`) and
 //! previous hidden state `h_{t-1}` (`B x H`),
@@ -20,17 +20,10 @@
 //! means ~25% fewer weights at the same hidden width.
 
 use crate::activation::sigmoid;
-use crate::checkpoint::{Checkpoint, CheckpointError, MatrixDump};
-use crate::dense::{Dense, DenseCache};
-use crate::embedding::Embedding;
-use crate::loss;
-use crate::model::{restore_params, SeqView};
-use crate::trainer::{BatchLoss, GradientSet, ShardedBatchLoss};
-use crate::Activation;
+use crate::model::RecurrentCell;
 use crate::Trainable;
 use nfv_tensor::{xavier_uniform, Matrix, Workspace};
 use rand::Rng;
-use std::mem;
 
 /// One GRU layer: parameters `Wx` (`I x 3H`), `Wh` (`H x 3H`), `b` (`1 x 3H`).
 #[derive(Debug, Clone)]
@@ -55,9 +48,9 @@ struct StepCache {
     hn: Matrix,
 }
 
-/// Cache for a whole sequence, filled by [`GruLayer::forward_seq_into`].
-/// Reusable across training steps: buffers are reshaped in place rather
-/// than reallocated.
+/// Cache for a whole sequence, filled by
+/// [`RecurrentCell::forward_seq_into`]. Reusable across training steps:
+/// buffers are reshaped in place rather than reallocated.
 #[derive(Debug, Clone, Default)]
 pub struct GruSeqCache {
     steps: Vec<StepCache>,
@@ -80,30 +73,6 @@ impl GruSeqCache {
     }
 }
 
-/// Parameter gradients in the same order as [`GruLayer::params`]:
-/// `[dwx, dwh, db]`.
-#[derive(Debug, Clone)]
-pub struct GruGrads {
-    /// Gradient w.r.t. `Wx`.
-    pub dwx: Matrix,
-    /// Gradient w.r.t. `Wh`.
-    pub dwh: Matrix,
-    /// Gradient w.r.t. the bias row.
-    pub db: Matrix,
-}
-
-/// Mutable references to one layer's gradient accumulators inside a
-/// larger gradient set (same order as [`GruLayer::params`]).
-#[derive(Debug)]
-pub struct GruGradRefs<'a> {
-    /// Accumulator for `dL/dWx`.
-    pub dwx: &'a mut Matrix,
-    /// Accumulator for `dL/dWh`.
-    pub dwh: &'a mut Matrix,
-    /// Accumulator for `dL/db`.
-    pub db: &'a mut Matrix,
-}
-
 /// Recurrent state `h` carried between steps during streaming inference.
 #[derive(Debug, Clone)]
 pub struct GruState {
@@ -119,24 +88,9 @@ impl GruState {
 }
 
 impl GruLayer {
-    /// New layer with Xavier-initialized weights and zero bias.
-    pub fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
-        GruLayer {
-            wx: xavier_uniform(input, 3 * hidden, rng),
-            wh: xavier_uniform(hidden, 3 * hidden, rng),
-            b: Matrix::zeros(1, 3 * hidden),
-            hidden,
-        }
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.wx.rows()
-    }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
     }
 
     /// One forward step without caching; used for streaming inference.
@@ -163,23 +117,24 @@ impl GruLayer {
         }
         GruState { h }
     }
+}
 
-    /// Runs a full sequence from a zero initial state.
-    ///
-    /// `xs[t]` is the `B x I` input at step `t`; returns the hidden state
-    /// at every step plus the cache for [`GruLayer::backward_seq`].
-    pub fn forward_seq(&self, xs: &[Matrix]) -> (Vec<Matrix>, GruSeqCache) {
-        let mut outs = Vec::new();
-        let mut cache = GruSeqCache::default();
-        let mut ws = Workspace::new();
-        self.forward_seq_into(xs, &mut outs, &mut cache, &mut ws);
-        (outs, cache)
+impl RecurrentCell for GruLayer {
+    type Cache = GruSeqCache;
+    const TAG: &'static str = "gru-sequence-model";
+    const DETECTOR: &'static str = "gru";
+
+    /// New layer with Xavier-initialized weights and zero bias.
+    fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+        GruLayer {
+            wx: xavier_uniform(input, 3 * hidden, rng),
+            wh: xavier_uniform(hidden, 3 * hidden, rng),
+            b: Matrix::zeros(1, 3 * hidden),
+            hidden,
+        }
     }
 
-    /// Allocation-free sequence forward pass: writes `h_t` for every step
-    /// into `outs` and fills the reusable `cache` for
-    /// [`GruLayer::backward_seq_into`].
-    pub fn forward_seq_into(
+    fn forward_seq_into(
         &self,
         xs: &[Matrix],
         outs: &mut Vec<Matrix>,
@@ -230,43 +185,19 @@ impl GruLayer {
         }
     }
 
-    /// Back-propagation through time.
-    ///
-    /// `d_hs[t]` is `dL/dh_t` coming from the layer above (zero matrices
-    /// for steps that do not feed the loss). Returns `dL/dx_t` for every
-    /// step and the accumulated parameter gradients.
-    pub fn backward_seq(&self, cache: &GruSeqCache, d_hs: &[Matrix]) -> (Vec<Matrix>, GruGrads) {
-        let hd = self.hidden;
-        let mut dwx = Matrix::zeros(self.wx.rows(), self.wx.cols());
-        let mut dwh = Matrix::zeros(self.wh.rows(), self.wh.cols());
-        let mut db = Matrix::zeros(1, 3 * hd);
-        let mut dxs = Vec::new();
-        let mut ws = Workspace::new();
-        self.backward_seq_into(
-            cache,
-            d_hs,
-            &mut dxs,
-            GruGradRefs { dwx: &mut dwx, dwh: &mut dwh, db: &mut db },
-            &mut ws,
-        );
-        (dxs, GruGrads { dwx, dwh, db })
-    }
-
-    /// Allocation-free BPTT: writes `dL/dx_t` into `dxs` and *accumulates*
-    /// the parameter gradients into `grads` (callers zero them once per
-    /// batch). Scratch buffers are borrowed from `ws`.
-    pub fn backward_seq_into(
+    fn backward_seq_into(
         &self,
         cache: &GruSeqCache,
         d_hs: &[Matrix],
         dxs: &mut Vec<Matrix>,
-        grads: GruGradRefs<'_>,
+        grads: &mut [Matrix],
         ws: &mut Workspace,
     ) {
         assert_eq!(d_hs.len(), cache.steps.len(), "backward_seq: length mismatch");
-        assert_eq!(grads.dwx.shape(), self.wx.shape(), "backward_seq: dwx shape mismatch");
-        assert_eq!(grads.dwh.shape(), self.wh.shape(), "backward_seq: dwh shape mismatch");
-        assert_eq!(grads.db.shape(), self.b.shape(), "backward_seq: db shape mismatch");
+        let [dwx, dwh, db] = grads else { panic!("backward_seq: expected [dWx, dWh, db]") };
+        assert_eq!(dwx.shape(), self.wx.shape(), "backward_seq: dwx shape mismatch");
+        assert_eq!(dwh.shape(), self.wh.shape(), "backward_seq: dwh shape mismatch");
+        assert_eq!(db.shape(), self.b.shape(), "backward_seq: db shape mismatch");
         let t_len = cache.steps.len();
         let batch = cache.steps[0].x.rows();
         let hd = self.hidden;
@@ -321,11 +252,11 @@ impl GruLayer {
             }
 
             step.x.matmul_tn_into(&dzx, &mut tmp_wx);
-            grads.dwx.add_assign(&tmp_wx);
+            dwx.add_assign(&tmp_wx);
             step.h_prev.matmul_tn_into(&dzh, &mut tmp_wh);
-            grads.dwh.add_assign(&tmp_wh);
+            dwh.add_assign(&tmp_wh);
             dzx.sum_rows_into(&mut tmp_db);
-            grads.db.add_assign(&tmp_db);
+            db.add_assign(&tmp_db);
 
             dzx.matmul_into(&wx_t, &mut dxs[t]);
             // dh_prev = dzh Wh^T + the direct carry z * dh.
@@ -355,442 +286,10 @@ impl Trainable for GruLayer {
     }
 }
 
-/// Hyper-parameters of [`GruSequenceModel`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GruModelConfig {
-    /// Template vocabulary size (output classes).
-    pub vocab: usize,
-    /// Embedding dimensionality.
-    pub embed_dim: usize,
-    /// Hidden units per GRU layer.
-    pub hidden: usize,
-    /// Number of stacked GRU layers.
-    pub gru_layers: usize,
-    /// Whether to append the normalized inter-arrival gap to each step's
-    /// input.
-    pub use_gap_feature: bool,
-}
-
-impl Default for GruModelConfig {
-    fn default() -> Self {
-        GruModelConfig {
-            vocab: 64,
-            embed_dim: 16,
-            hidden: 32,
-            gru_layers: 2,
-            use_gap_feature: true,
-        }
-    }
-}
-
-/// The GRU member of the detector zoo: `Embedding (+ gap feature) ->
-/// GRU x N -> Dense`, predicting a probability distribution over the
-/// next syslog template. Same container contract as
-/// [`crate::model::SequenceModel`] — [`SeqView`] batches, frozen-bottom
-/// transfer learning, sharded gradients, JSON checkpoints — with the
-/// GRU cell swapped in.
-#[derive(Debug, Clone)]
-pub struct GruSequenceModel {
-    cfg: GruModelConfig,
-    embedding: Embedding,
-    grus: Vec<GruLayer>,
-    head: Dense,
-    frozen_bottom: usize,
-    scratch: GruScratch,
-}
-
-/// Reusable forward/backward buffers for [`GruSequenceModel`]. Shaped on
-/// first use and reshaped in place afterwards, so steady-state training
-/// steps allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct GruScratch {
-    ws: Workspace,
-    ids_t: Vec<usize>,
-    targets: Vec<usize>,
-    /// Per-step inputs (`B x (embed_dim + gap)`).
-    xs: Vec<Matrix>,
-    /// Ping-pong hidden-sequence buffers for the GRU stack.
-    seq_a: Vec<Matrix>,
-    seq_b: Vec<Matrix>,
-    /// Ping-pong gradient-sequence buffers for BPTT.
-    d_a: Vec<Matrix>,
-    d_b: Vec<Matrix>,
-    gru_caches: Vec<GruSeqCache>,
-    head_cache: DenseCache,
-    /// Holds probabilities after inference, `dL/dlogits` during training.
-    probs: Matrix,
-    demb_rows: Matrix,
-    dtable_tmp: Matrix,
-}
-
-impl GruSequenceModel {
-    /// Builds a model with freshly initialized parameters.
-    pub fn new(cfg: GruModelConfig, rng: &mut impl Rng) -> Self {
-        assert!(cfg.vocab > 1, "GruSequenceModel: vocabulary must have at least 2 classes");
-        assert!(cfg.gru_layers >= 1, "GruSequenceModel: need at least one GRU layer");
-        let embedding = Embedding::new(cfg.vocab, cfg.embed_dim, rng);
-        let in0 = cfg.embed_dim + usize::from(cfg.use_gap_feature);
-        let mut grus = Vec::with_capacity(cfg.gru_layers);
-        for l in 0..cfg.gru_layers {
-            let input = if l == 0 { in0 } else { cfg.hidden };
-            grus.push(GruLayer::new(input, cfg.hidden, rng));
-        }
-        let head = Dense::new(cfg.hidden, cfg.vocab, Activation::Identity, rng);
-        Self::assemble(cfg, embedding, grus, head)
-    }
-
-    fn assemble(
-        cfg: GruModelConfig,
-        embedding: Embedding,
-        grus: Vec<GruLayer>,
-        head: Dense,
-    ) -> Self {
-        GruSequenceModel {
-            cfg,
-            embedding,
-            grus,
-            head,
-            frozen_bottom: 0,
-            scratch: GruScratch::default(),
-        }
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &GruModelConfig {
-        &self.cfg
-    }
-
-    /// Number of components (embedding + GRU layers + head).
-    pub fn component_count(&self) -> usize {
-        2 + self.grus.len()
-    }
-
-    /// Freezes the bottom `n` components (0 = train everything). Frozen
-    /// components receive no optimizer updates.
-    pub fn set_frozen_bottom(&mut self, n: usize) {
-        assert!(
-            n < self.component_count(),
-            "cannot freeze all {} components",
-            self.component_count()
-        );
-        self.frozen_bottom = n;
-    }
-
-    /// Currently frozen bottom-component count.
-    pub fn frozen_bottom(&self) -> usize {
-        self.frozen_bottom
-    }
-
-    /// Validates the samples selected by `indices` and returns the shared
-    /// window length.
-    fn check_view(&self, view: &SeqView<'_>, indices: &[usize]) -> usize {
-        assert!(!indices.is_empty(), "GruSequenceModel: empty batch");
-        let t_len = view.ids[indices[0]].len();
-        assert!(t_len > 0, "GruSequenceModel: zero-length windows");
-        for &i in indices {
-            assert_eq!(view.ids[i].len(), t_len, "GruSequenceModel: ragged windows");
-        }
-        if self.cfg.use_gap_feature {
-            assert_eq!(view.gaps.len(), view.ids.len(), "GruSequenceModel: gaps required");
-            for &i in indices {
-                assert_eq!(view.gaps[i].len(), t_len, "GruSequenceModel: ragged gap rows");
-            }
-        }
-        t_len
-    }
-
-    /// Allocation-free forward pass over the selected samples; the logits
-    /// end up in `s.head_cache.output()`.
-    fn forward_scratch(&self, view: &SeqView<'_>, indices: &[usize], s: &mut GruScratch) {
-        let t_len = self.check_view(view, indices);
-        let b = indices.len();
-        let in0 = self.cfg.embed_dim + usize::from(self.cfg.use_gap_feature);
-        let GruScratch { ws, ids_t, xs, seq_a, seq_b, gru_caches, head_cache, .. } = s;
-
-        // Per-step inputs: embed the t-th id of every sample, then fill
-        // the gap column when configured.
-        ws.ensure_seq(xs, t_len, b, in0);
-        for (t, x) in xs.iter_mut().enumerate() {
-            ids_t.clear();
-            ids_t.extend(indices.iter().map(|&i| view.ids[i][t]));
-            self.embedding.forward_into(ids_t, x);
-            if self.cfg.use_gap_feature {
-                for (r, &i) in indices.iter().enumerate() {
-                    x.set(r, in0 - 1, view.gaps[i][t]);
-                }
-            }
-        }
-
-        let n = self.grus.len();
-        if gru_caches.len() != n {
-            gru_caches.truncate(n);
-            gru_caches.resize_with(n, GruSeqCache::default);
-        }
-        // Ping-pong the hidden sequences through the stack: xs -> a -> b
-        // -> a -> ...
-        for (l, gru) in self.grus.iter().enumerate() {
-            if l == 0 {
-                gru.forward_seq_into(xs, seq_a, &mut gru_caches[0], ws);
-            } else if l % 2 == 1 {
-                gru.forward_seq_into(seq_a, seq_b, &mut gru_caches[l], ws);
-            } else {
-                gru.forward_seq_into(seq_b, seq_a, &mut gru_caches[l], ws);
-            }
-        }
-        let top = if n % 2 == 1 { seq_a } else { seq_b };
-        let last_h = top.last().expect("non-empty sequence");
-        self.head.forward_into(last_h, head_cache);
-    }
-
-    /// Allocation-free backward pass. Expects `s.probs` to hold
-    /// `dL/dlogits` and accumulates parameter gradients into `grads`.
-    fn backward_scratch(
-        &self,
-        view: &SeqView<'_>,
-        indices: &[usize],
-        s: &mut GruScratch,
-        grads: &mut GradientSet,
-    ) {
-        let t_len = view.ids[indices[0]].len();
-        let b = indices.len();
-        let n = self.grus.len();
-        let slots = grads.slots_mut();
-        let GruScratch {
-            ws,
-            ids_t,
-            d_a,
-            d_b,
-            gru_caches,
-            head_cache,
-            probs,
-            demb_rows,
-            dtable_tmp,
-            ..
-        } = s;
-
-        // Head backward; only the last step feeds the loss, so every
-        // other step's incoming gradient is zero.
-        ws.ensure_seq(d_a, t_len, b, self.cfg.hidden);
-        for m in d_a.iter_mut().take(t_len - 1) {
-            m.fill_zero();
-        }
-        let head_base = 1 + 3 * n;
-        {
-            let [dw, db] = &mut slots[head_base..head_base + 2] else { unreachable!() };
-            self.head.backward_into(head_cache, probs, &mut d_a[t_len - 1], dw, db, ws);
-        }
-
-        // BPTT down the GRU stack, ping-ponging the per-step gradients.
-        for l in (0..n).rev() {
-            let base = 1 + 3 * l;
-            let [dwx, dwh, db] = &mut slots[base..base + 3] else { unreachable!() };
-            let refs = GruGradRefs { dwx, dwh, db };
-            if (n - 1 - l).is_multiple_of(2) {
-                self.grus[l].backward_seq_into(&gru_caches[l], d_a, d_b, refs, ws);
-            } else {
-                self.grus[l].backward_seq_into(&gru_caches[l], d_b, d_a, refs, ws);
-            }
-        }
-        let d_bottom: &[Matrix] = if n % 2 == 1 { d_b } else { d_a };
-
-        // Embedding backward: strip the gap column when present.
-        let ed = self.cfg.embed_dim;
-        for (t, dx) in d_bottom.iter().enumerate() {
-            ids_t.clear();
-            ids_t.extend(indices.iter().map(|&i| view.ids[i][t]));
-            demb_rows.reset(b, ed);
-            for r in 0..b {
-                demb_rows.row_mut(r).copy_from_slice(&dx.row(r)[..ed]);
-            }
-            dtable_tmp.reset(self.cfg.vocab, ed);
-            dtable_tmp.fill_zero();
-            dtable_tmp.scatter_add_rows(ids_t, demb_rows);
-            slots[0].add_assign(dtable_tmp);
-        }
-    }
-
-    /// Forward + loss + backward for one shard, using caller-provided
-    /// scratch. Gradients are normalized by `total` and the returned
-    /// loss is the shard's unnormalized sum, so per-shard results add up
-    /// to the batched mean exactly as the serial path computes it.
-    fn seq_grads_impl(
-        &self,
-        view: &SeqView<'_>,
-        indices: &[usize],
-        s: &mut GruScratch,
-        grads: &mut GradientSet,
-        total: usize,
-    ) -> f32 {
-        self.forward_scratch(view, indices, s);
-        s.targets.clear();
-        for &i in indices {
-            s.targets.push(view.targets[i]);
-        }
-        let loss_sum = loss::softmax_cross_entropy_scaled_into(
-            s.head_cache.output(),
-            &s.targets,
-            &mut s.probs,
-            total,
-        );
-        self.backward_scratch(view, indices, s, grads);
-        loss_sum
-    }
-
-    /// Probability distribution over the next template for each selected
-    /// window (`indices.len() x vocab`), written into `scratch` and
-    /// returned by reference — zero allocation in steady state.
-    pub fn predict_probs_view<'s>(
-        &self,
-        view: &SeqView<'_>,
-        indices: &[usize],
-        scratch: &'s mut GruScratch,
-    ) -> &'s Matrix {
-        self.forward_scratch(view, indices, scratch);
-        scratch.probs.copy_from(scratch.head_cache.output());
-        scratch.probs.softmax_rows_inplace();
-        &scratch.probs
-    }
-
-    /// How many leading parameters belong to the frozen bottom components.
-    fn frozen_param_count(&self) -> usize {
-        // Component i owns: embedding -> 1 param, each GRU -> 3, head -> 2.
-        let mut count = 0;
-        for comp in 0..self.frozen_bottom {
-            count += if comp == 0 { 1 } else { 3 };
-        }
-        count
-    }
-
-    /// Shapes of all parameters in optimizer order.
-    pub fn param_shapes(&self) -> Vec<(usize, usize)> {
-        self.params().iter().map(|p| p.shape()).collect()
-    }
-
-    /// Serializes the model (architecture + weights).
-    pub fn to_checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            tag: "gru-sequence-model".to_string(),
-            dims: vec![
-                self.cfg.vocab,
-                self.cfg.embed_dim,
-                self.cfg.hidden,
-                self.cfg.gru_layers,
-                usize::from(self.cfg.use_gap_feature),
-            ],
-            params: self.params().iter().map(|p| MatrixDump::from_matrix(p)).collect(),
-        }
-    }
-
-    /// Restores a model from a checkpoint produced by
-    /// [`GruSequenceModel::to_checkpoint`], reporting structural problems
-    /// as typed errors instead of panicking.
-    pub fn try_from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        if ckpt.tag != "gru-sequence-model" {
-            return Err(CheckpointError::Invalid(format!(
-                "expected tag \"gru-sequence-model\", found {:?}",
-                ckpt.tag
-            )));
-        }
-        if ckpt.dims.len() != 5 {
-            return Err(CheckpointError::Invalid(format!(
-                "gru-sequence-model checkpoint needs 5 dims, found {}",
-                ckpt.dims.len()
-            )));
-        }
-        if ckpt.dims[..4].contains(&0) {
-            return Err(CheckpointError::Invalid(format!(
-                "gru-sequence-model dims must be non-zero, found {:?}",
-                ckpt.dims
-            )));
-        }
-        let cfg = GruModelConfig {
-            vocab: ckpt.dims[0],
-            embed_dim: ckpt.dims[1],
-            hidden: ckpt.dims[2],
-            gru_layers: ckpt.dims[3],
-            use_gap_feature: ckpt.dims[4] != 0,
-        };
-        let mut rng = rand::rngs::mock::StepRng::new(1, 1);
-        let mut model = GruSequenceModel::new(cfg, &mut rng);
-        restore_params(&mut model, ckpt)?;
-        Ok(model)
-    }
-
-    /// Panicking convenience wrapper around
-    /// [`GruSequenceModel::try_from_checkpoint`] for checkpoints known to
-    /// be valid (e.g. built in-process).
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> Self {
-        GruSequenceModel::try_from_checkpoint(ckpt).expect("valid gru-sequence-model checkpoint")
-    }
-}
-
-impl Trainable for GruSequenceModel {
-    fn params(&self) -> Vec<&Matrix> {
-        let mut out = self.embedding.params();
-        for l in &self.grus {
-            out.extend(l.params());
-        }
-        out.extend(self.head.params());
-        out
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out = self.embedding.params_mut();
-        for l in &mut self.grus {
-            out.extend(l.params_mut());
-        }
-        out.extend(self.head.params_mut());
-        out
-    }
-}
-
-impl<'a> BatchLoss<SeqView<'a>> for GruSequenceModel {
-    fn batch_gradients(
-        &mut self,
-        data: &SeqView<'a>,
-        indices: &[usize],
-        grads: &mut GradientSet,
-    ) -> f32 {
-        // Move the scratch out so the forward/backward helpers can borrow
-        // `self` immutably alongside it.
-        let mut s = mem::take(&mut self.scratch);
-        let loss_sum = self.seq_grads_impl(data, indices, &mut s, grads, indices.len());
-        self.scratch = s;
-        loss_sum / indices.len() as f32
-    }
-
-    fn frozen_params(&self) -> usize {
-        self.frozen_param_count()
-    }
-}
-
-impl<'a> ShardedBatchLoss<SeqView<'a>> for GruSequenceModel {
-    type Worker = GruScratch;
-
-    fn shard_gradients(
-        &self,
-        data: &SeqView<'a>,
-        indices: &[usize],
-        total: usize,
-        worker: &mut GruScratch,
-        grads: &mut GradientSet,
-    ) -> f32 {
-        self.seq_grads_impl(data, indices, worker, grads, total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::Adam;
-    use crate::trainer::{clip_and_apply, DEFAULT_GRAD_CLIP};
     use rand::{rngs::SmallRng, SeedableRng};
-
-    /// Loss = 0.5 * sum over all steps of ||h_t||^2, so dL/dh_t = h_t.
-    fn seq_loss(layer: &GruLayer, xs: &[Matrix]) -> f32 {
-        let (hs, _) = layer.forward_seq(xs);
-        hs.iter().map(|h| 0.5 * h.as_slice().iter().map(|v| v * v).sum::<f32>()).sum()
-    }
 
     #[test]
     fn forward_shapes_and_state_propagation() {
@@ -828,192 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn gradient_check_all_parameters() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut layer = GruLayer::new(3, 2, &mut rng);
-        let xs: Vec<Matrix> =
-            (0..4).map(|_| nfv_tensor::uniform_in(2, 3, -1.0, 1.0, &mut rng)).collect();
-
-        let (hs, cache) = layer.forward_seq(&xs);
-        let d_hs: Vec<Matrix> = hs.clone();
-        let (_, grads) = layer.backward_seq(&cache, &d_hs);
-        let analytic = [&grads.dwx, &grads.dwh, &grads.db];
-
-        let eps = 1e-2f32;
-        for (pi, analytic_grad) in analytic.iter().enumerate() {
-            let len = layer.params()[pi].as_slice().len();
-            // Probe a deterministic sample of entries in each parameter.
-            for idx in (0..len).step_by(1 + len / 7) {
-                let orig = layer.params()[pi].as_slice()[idx];
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig + eps;
-                let plus = seq_loss(&layer, &xs);
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig - eps;
-                let minus = seq_loss(&layer, &xs);
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig;
-                let numeric = (plus - minus) / (2.0 * eps);
-                let a = analytic_grad.as_slice()[idx];
-                assert!(
-                    (a - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
-                    "param {} idx {}: analytic {} vs numeric {}",
-                    pi,
-                    idx,
-                    numeric,
-                    a
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gradient_check_inputs() {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let layer = GruLayer::new(2, 3, &mut rng);
-        let mut xs: Vec<Matrix> =
-            (0..3).map(|_| nfv_tensor::uniform_in(1, 2, -1.0, 1.0, &mut rng)).collect();
-
-        let (hs, cache) = layer.forward_seq(&xs);
-        let (dxs, _) = layer.backward_seq(&cache, &hs);
-
-        let eps = 1e-2f32;
-        for t in 0..xs.len() {
-            for idx in 0..xs[t].as_slice().len() {
-                let orig = xs[t].as_slice()[idx];
-                xs[t].as_mut_slice()[idx] = orig + eps;
-                let plus = seq_loss(&layer, &xs);
-                xs[t].as_mut_slice()[idx] = orig - eps;
-                let minus = seq_loss(&layer, &xs);
-                xs[t].as_mut_slice()[idx] = orig;
-                let numeric = (plus - minus) / (2.0 * eps);
-                let analytic = dxs[t].as_slice()[idx];
-                assert!(
-                    (analytic - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
-                    "step {} idx {}: analytic {} vs numeric {}",
-                    t,
-                    idx,
-                    analytic,
-                    numeric
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gru_has_fewer_parameters_than_lstm_at_same_width() {
         let mut rng = SmallRng::seed_from_u64(5);
         let gru = GruLayer::new(8, 16, &mut rng);
         let lstm = crate::lstm::LstmLayer::new(8, 16, &mut rng);
         let count = |ps: Vec<&Matrix>| ps.iter().map(|p| p.as_slice().len()).sum::<usize>();
         assert_eq!(count(gru.params()) * 4, count(lstm.params()) * 3);
-    }
-
-    fn toy_view(window: usize, pattern: &[usize]) -> (Vec<Vec<usize>>, Vec<Vec<f32>>, Vec<usize>) {
-        // Sliding windows over a repeating pattern; the next id is always
-        // deterministic, so the model should learn it nearly perfectly.
-        let seq: Vec<usize> = pattern.iter().cycle().take(200).copied().collect();
-        let mut ids = Vec::new();
-        let mut gaps = Vec::new();
-        let mut targets = Vec::new();
-        for start in 0..seq.len() - window {
-            ids.push(seq[start..start + window].to_vec());
-            gaps.push(vec![0.5; window]);
-            targets.push(seq[start + window]);
-        }
-        (ids, gaps, targets)
-    }
-
-    #[test]
-    fn learns_a_deterministic_cycle() {
-        let cfg = GruModelConfig {
-            vocab: 4,
-            embed_dim: 6,
-            hidden: 12,
-            gru_layers: 2,
-            use_gap_feature: true,
-        };
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut model = GruSequenceModel::new(cfg, &mut rng);
-        let (ids, gaps, targets) = toy_view(5, &[0, 1, 2, 3]);
-        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
-        let indices: Vec<usize> = (0..ids.len()).collect();
-        let mut opt = Adam::new(0.01, &model.param_shapes());
-
-        let mut first_loss = f32::NAN;
-        let mut final_loss = f32::NAN;
-        for step in 0..60 {
-            let mut grads = GradientSet::new(&model.param_shapes());
-            let loss_value = model.batch_gradients(&view, &indices, &mut grads);
-            if step == 0 {
-                first_loss = loss_value;
-            }
-            final_loss = loss_value;
-            let frozen = model.frozen_param_count();
-            clip_and_apply(&mut model, &mut grads, frozen, DEFAULT_GRAD_CLIP, &mut opt);
-        }
-        assert!(
-            final_loss < first_loss * 0.2,
-            "loss did not drop: {} -> {}",
-            first_loss,
-            final_loss
-        );
-
-        // The argmax prediction should now follow the cycle.
-        let mut scratch = GruScratch::default();
-        let probs = model.predict_probs_view(&view, &indices, &mut scratch);
-        let preds = probs.argmax_rows();
-        let correct = preds.iter().zip(targets.iter()).filter(|(p, t)| p == t).count();
-        assert!(
-            correct as f32 / targets.len() as f32 > 0.95,
-            "accuracy {}/{}",
-            correct,
-            targets.len()
-        );
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_predictions() {
-        let mut rng = SmallRng::seed_from_u64(19);
-        let model = GruSequenceModel::new(GruModelConfig::default(), &mut rng);
-        let ids = vec![vec![7usize, 8, 9, 10]];
-        let gaps = vec![vec![0.1f32, 0.4, 0.2, 0.9]];
-        let view = SeqView { ids: &ids, gaps: &gaps, targets: &[] };
-        let mut scratch = GruScratch::default();
-        let original = model.predict_probs_view(&view, &[0], &mut scratch).clone();
-        let restored = GruSequenceModel::from_checkpoint(&model.to_checkpoint());
-        let mut scratch2 = GruScratch::default();
-        let roundtrip = restored.predict_probs_view(&view, &[0], &mut scratch2);
-        assert_eq!(original.as_slice(), roundtrip.as_slice());
-    }
-
-    #[test]
-    fn frozen_bottom_components_do_not_move() {
-        let cfg = GruModelConfig {
-            vocab: 5,
-            embed_dim: 4,
-            hidden: 6,
-            gru_layers: 2,
-            use_gap_feature: false,
-        };
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut model = GruSequenceModel::new(cfg, &mut rng);
-        model.set_frozen_bottom(2); // freeze embedding + first GRU
-
-        let before: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
-        let ids = vec![vec![0usize, 1, 2, 3]];
-        let view = SeqView { ids: &ids, gaps: &[], targets: &[4] };
-        let mut opt = Adam::new(0.05, &model.param_shapes());
-        for _ in 0..3 {
-            let mut grads = GradientSet::new(&model.param_shapes());
-            model.batch_gradients(&view, &[0], &mut grads);
-            let frozen = model.frozen_param_count();
-            clip_and_apply(&mut model, &mut grads, frozen, DEFAULT_GRAD_CLIP, &mut opt);
-        }
-        let after: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
-
-        // Embedding (1 param) + GRU0 (3 params) frozen; the rest must move.
-        for i in 0..4 {
-            assert_eq!(before[i], after[i], "frozen param {} moved", i);
-        }
-        assert_ne!(before[4], after[4], "unfrozen GRU1 did not move");
-        assert_ne!(before[7], after[7], "unfrozen head did not move");
     }
 }

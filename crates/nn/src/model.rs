@@ -1,30 +1,103 @@
-//! Model containers: the paper's next-template sequence network and a
-//! plain MLP used to build the autoencoder baseline.
+//! Model containers: the paper's next-template sequence network, generic
+//! over its recurrent cell, and a plain MLP used to build the
+//! autoencoder baseline.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, MatrixDump};
 use crate::dense::{Dense, DenseCache};
 use crate::embedding::Embedding;
+use crate::gru::GruLayer;
 use crate::loss;
-use crate::lstm::{LstmGradRefs, LstmLayer, LstmSeqCache};
+use crate::lstm::LstmLayer;
 use crate::optimizer::Optimizer;
 use crate::trainer::{clip_and_apply, BatchLoss, GradientSet, ShardedBatchLoss, DEFAULT_GRAD_CLIP};
 use crate::Activation;
 use crate::Trainable;
 use nfv_tensor::{Matrix, Workspace};
 use rand::Rng;
+use std::fmt::Debug;
 use std::mem;
 
-/// Hyper-parameters of [`SequenceModel`].
+/// A recurrent layer [`RecurrentModel`] can stack: the LSTM and the GRU
+/// are two implementations, and a new recurrent family is one more.
+///
+/// Parameters are visited through [`Trainable`] as exactly three
+/// matrices, `[Wx, Wh, b]`; the stacked model's optimizer layout,
+/// frozen-bottom transfer and checkpoints all rely on that order.
+pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
+    /// Per-sequence forward values kept for back-propagation through
+    /// time; reshaped in place, so steady-state steps allocate nothing.
+    type Cache: Clone + Default + Debug + Send + Sync;
+    /// Checkpoint tag of a [`RecurrentModel`] built from this cell.
+    const TAG: &'static str;
+    /// Name of the next-template detector built on this cell (also the
+    /// tag of its serialized state).
+    const DETECTOR: &'static str;
+
+    /// A freshly initialized layer mapping `input`-wide steps to
+    /// `hidden` units.
+    fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self;
+
+    /// Allocation-free sequence forward pass from a zero initial state:
+    /// `xs[t]` is the `B x I` input at step `t`; writes `h_t` for every
+    /// step into `outs` and fills `cache` for
+    /// [`RecurrentCell::backward_seq_into`].
+    fn forward_seq_into(
+        &self,
+        xs: &[Matrix],
+        outs: &mut Vec<Matrix>,
+        cache: &mut Self::Cache,
+        ws: &mut Workspace,
+    );
+
+    /// Allocation-free BPTT: `d_hs[t]` is `dL/dh_t` from the layer above
+    /// (zero for steps that do not feed the loss). Writes `dL/dx_t` into
+    /// `dxs` and *accumulates* the parameter gradients into `grads`
+    /// (`[dWx, dWh, db]`; callers zero them once per batch). Scratch
+    /// buffers are borrowed from `ws`.
+    fn backward_seq_into(
+        &self,
+        cache: &Self::Cache,
+        d_hs: &[Matrix],
+        dxs: &mut Vec<Matrix>,
+        grads: &mut [Matrix],
+        ws: &mut Workspace,
+    );
+
+    /// Allocating [`RecurrentCell::forward_seq_into`]: the hidden state
+    /// at every step plus the cache for [`RecurrentCell::backward_seq`].
+    fn forward_seq(&self, xs: &[Matrix]) -> (Vec<Matrix>, Self::Cache) {
+        let mut outs = Vec::new();
+        let mut cache = Self::Cache::default();
+        self.forward_seq_into(xs, &mut outs, &mut cache, &mut Workspace::new());
+        (outs, cache)
+    }
+
+    /// Allocating [`RecurrentCell::backward_seq_into`]: `dL/dx_t` for
+    /// every step and the parameter gradients in [`Trainable::params`]
+    /// order.
+    fn backward_seq(&self, cache: &Self::Cache, d_hs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
+        let mut grads: Vec<Matrix> =
+            self.params().iter().map(|p| Matrix::zeros(p.rows(), p.cols())).collect();
+        let mut dxs = Vec::new();
+        self.backward_seq_into(cache, d_hs, &mut dxs, &mut grads, &mut Workspace::new());
+        (dxs, grads)
+    }
+}
+
+/// Parameter matrices per recurrent layer (`[Wx, Wh, b]`).
+const CELL_PARAMS: usize = 3;
+
+/// Hyper-parameters of [`RecurrentModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceModelConfig {
     /// Template vocabulary size (output classes).
     pub vocab: usize,
     /// Embedding dimensionality.
     pub embed_dim: usize,
-    /// Hidden units per LSTM layer.
+    /// Hidden units per recurrent layer.
     pub hidden: usize,
-    /// Number of stacked LSTM layers (the paper uses 2).
-    pub lstm_layers: usize,
+    /// Number of stacked recurrent layers (the paper uses 2).
+    pub layers: usize,
     /// Whether to append the normalized inter-arrival gap to each step's
     /// input (the paper's input tuples are `(m_i, t_i - t_{i-1})`).
     pub use_gap_feature: bool,
@@ -36,29 +109,36 @@ impl Default for SequenceModelConfig {
             vocab: 64,
             embed_dim: 16,
             hidden: 32,
-            lstm_layers: 2,
+            layers: 2,
             use_gap_feature: true,
         }
     }
 }
 
 /// The paper's anomaly-detection network: `Embedding (+ gap feature) ->
-/// LSTM x N -> Dense`, predicting a probability distribution over the
-/// next syslog template.
+/// cell x N -> Dense`, predicting a probability distribution over the
+/// next syslog template. The paper's cell is the LSTM
+/// ([`SequenceModel`]); [`GruSequenceModel`] swaps in the GRU.
 ///
 /// Components are ordered bottom-to-top as
-/// `[embedding, lstm_0, .., lstm_{N-1}, head]`; transfer learning freezes
-/// a prefix of that list via [`SequenceModel::set_frozen_bottom`] and
+/// `[embedding, cell_0, .., cell_{N-1}, head]`; transfer learning freezes
+/// a prefix of that list via [`RecurrentModel::set_frozen_bottom`] and
 /// fine-tunes the rest (§4.3 of the paper).
 #[derive(Debug, Clone)]
-pub struct SequenceModel {
+pub struct RecurrentModel<C: RecurrentCell> {
     cfg: SequenceModelConfig,
     embedding: Embedding,
-    lstms: Vec<LstmLayer>,
+    cells: Vec<C>,
     head: Dense,
     frozen_bottom: usize,
-    scratch: SeqScratch,
+    scratch: RecurrentScratch<C::Cache>,
 }
+
+/// The paper's next-template network: embedding, stacked LSTM, dense
+/// head (checkpoint tag `sequence-model`).
+pub type SequenceModel = RecurrentModel<LstmLayer>;
+/// The GRU next-template network (checkpoint tag `gru-sequence-model`).
+pub type GruSequenceModel = RecurrentModel<GruLayer>;
 
 /// One training/inference batch of fixed-length windows.
 ///
@@ -106,23 +186,23 @@ pub struct SeqView<'a> {
     pub targets: &'a [usize],
 }
 
-/// Reusable forward/backward buffers for [`SequenceModel`]. Shaped on
-/// first use and reshaped in place afterwards, so steady-state training
-/// steps allocate nothing.
+/// Reusable forward/backward buffers for [`RecurrentModel`], generic
+/// over the cell's cache type. Shaped on first use and reshaped in
+/// place afterwards, so steady-state training steps allocate nothing.
 #[derive(Debug, Clone, Default)]
-pub struct SeqScratch {
+pub struct RecurrentScratch<K> {
     ws: Workspace,
     ids_t: Vec<usize>,
     targets: Vec<usize>,
     /// Per-step inputs (`B x (embed_dim + gap)`).
     xs: Vec<Matrix>,
-    /// Ping-pong hidden-sequence buffers for the LSTM stack.
+    /// Ping-pong hidden-sequence buffers for the recurrent stack.
     seq_a: Vec<Matrix>,
     seq_b: Vec<Matrix>,
     /// Ping-pong gradient-sequence buffers for BPTT.
     d_a: Vec<Matrix>,
     d_b: Vec<Matrix>,
-    lstm_caches: Vec<LstmSeqCache>,
+    caches: Vec<K>,
     head_cache: DenseCache,
     /// Holds probabilities after inference, `dL/dlogits` during training.
     probs: Matrix,
@@ -130,26 +210,31 @@ pub struct SeqScratch {
     dtable_tmp: Matrix,
 }
 
-impl SequenceModel {
+/// Scratch for [`SequenceModel`].
+pub type SeqScratch = RecurrentScratch<crate::lstm::LstmSeqCache>;
+/// Scratch for [`GruSequenceModel`].
+pub type GruScratch = RecurrentScratch<crate::gru::GruSeqCache>;
+
+impl<C: RecurrentCell> RecurrentModel<C> {
     /// Builds a model with freshly initialized parameters.
     pub fn new(cfg: SequenceModelConfig, rng: &mut impl Rng) -> Self {
         assert!(cfg.vocab > 1, "SequenceModel: vocabulary must have at least 2 classes");
-        assert!(cfg.lstm_layers >= 1, "SequenceModel: need at least one LSTM layer");
+        assert!(cfg.layers >= 1, "SequenceModel: need at least one recurrent layer");
         let embedding = Embedding::new(cfg.vocab, cfg.embed_dim, rng);
         let in0 = cfg.embed_dim + usize::from(cfg.use_gap_feature);
-        let mut lstms = Vec::with_capacity(cfg.lstm_layers);
-        for l in 0..cfg.lstm_layers {
+        let mut cells = Vec::with_capacity(cfg.layers);
+        for l in 0..cfg.layers {
             let input = if l == 0 { in0 } else { cfg.hidden };
-            lstms.push(LstmLayer::new(input, cfg.hidden, rng));
+            cells.push(C::new(input, cfg.hidden, rng));
         }
         let head = Dense::new(cfg.hidden, cfg.vocab, Activation::Identity, rng);
-        SequenceModel {
+        RecurrentModel {
             cfg,
             embedding,
-            lstms,
+            cells,
             head,
             frozen_bottom: 0,
-            scratch: SeqScratch::default(),
+            scratch: RecurrentScratch::default(),
         }
     }
 
@@ -158,9 +243,9 @@ impl SequenceModel {
         &self.cfg
     }
 
-    /// Number of components (embedding + LSTM layers + head).
+    /// Number of components (embedding + recurrent layers + head).
     pub fn component_count(&self) -> usize {
-        2 + self.lstms.len()
+        2 + self.cells.len()
     }
 
     /// Freezes the bottom `n` components (0 = train everything). Frozen
@@ -200,11 +285,16 @@ impl SequenceModel {
 
     /// Allocation-free forward pass over the selected samples; the logits
     /// end up in `s.head_cache.output()`.
-    fn forward_scratch(&self, view: &SeqView<'_>, indices: &[usize], s: &mut SeqScratch) {
+    fn forward_scratch(
+        &self,
+        view: &SeqView<'_>,
+        indices: &[usize],
+        s: &mut RecurrentScratch<C::Cache>,
+    ) {
         let t_len = self.check_view(view, indices);
         let b = indices.len();
         let in0 = self.cfg.embed_dim + usize::from(self.cfg.use_gap_feature);
-        let SeqScratch { ws, ids_t, xs, seq_a, seq_b, lstm_caches, head_cache, .. } = s;
+        let RecurrentScratch { ws, ids_t, xs, seq_a, seq_b, caches, head_cache, .. } = s;
 
         // Per-step inputs: embed the t-th id of every sample, then fill
         // the gap column when configured.
@@ -220,20 +310,20 @@ impl SequenceModel {
             }
         }
 
-        let n = self.lstms.len();
-        if lstm_caches.len() != n {
-            lstm_caches.truncate(n);
-            lstm_caches.resize_with(n, LstmSeqCache::default);
+        let n = self.cells.len();
+        if caches.len() != n {
+            caches.truncate(n);
+            caches.resize_with(n, C::Cache::default);
         }
         // Ping-pong the hidden sequences through the stack: xs -> a -> b
         // -> a -> ...
-        for (l, lstm) in self.lstms.iter().enumerate() {
+        for (l, cell) in self.cells.iter().enumerate() {
             if l == 0 {
-                lstm.forward_seq_into(xs, seq_a, &mut lstm_caches[0], ws);
+                cell.forward_seq_into(xs, seq_a, &mut caches[0], ws);
             } else if l % 2 == 1 {
-                lstm.forward_seq_into(seq_a, seq_b, &mut lstm_caches[l], ws);
+                cell.forward_seq_into(seq_a, seq_b, &mut caches[l], ws);
             } else {
-                lstm.forward_seq_into(seq_b, seq_a, &mut lstm_caches[l], ws);
+                cell.forward_seq_into(seq_b, seq_a, &mut caches[l], ws);
             }
         }
         let top = if n % 2 == 1 { seq_a } else { seq_b };
@@ -247,19 +337,19 @@ impl SequenceModel {
         &self,
         view: &SeqView<'_>,
         indices: &[usize],
-        s: &mut SeqScratch,
+        s: &mut RecurrentScratch<C::Cache>,
         grads: &mut GradientSet,
     ) {
         let t_len = view.ids[indices[0]].len();
         let b = indices.len();
-        let n = self.lstms.len();
+        let n = self.cells.len();
         let slots = grads.slots_mut();
-        let SeqScratch {
+        let RecurrentScratch {
             ws,
             ids_t,
             d_a,
             d_b,
-            lstm_caches,
+            caches,
             head_cache,
             probs,
             demb_rows,
@@ -273,21 +363,20 @@ impl SequenceModel {
         for m in d_a.iter_mut().take(t_len - 1) {
             m.fill_zero();
         }
-        let head_base = 1 + 3 * n;
+        let head_base = 1 + CELL_PARAMS * n;
         {
             let [dw, db] = &mut slots[head_base..head_base + 2] else { unreachable!() };
             self.head.backward_into(head_cache, probs, &mut d_a[t_len - 1], dw, db, ws);
         }
 
-        // BPTT down the LSTM stack, ping-ponging the per-step gradients.
+        // BPTT down the recurrent stack, ping-ponging the per-step
+        // gradients.
         for l in (0..n).rev() {
-            let base = 1 + 3 * l;
-            let [dwx, dwh, db] = &mut slots[base..base + 3] else { unreachable!() };
-            let refs = LstmGradRefs { dwx, dwh, db };
+            let cell_grads = &mut slots[1 + CELL_PARAMS * l..1 + CELL_PARAMS * (l + 1)];
             if (n - 1 - l).is_multiple_of(2) {
-                self.lstms[l].backward_seq_into(&lstm_caches[l], d_a, d_b, refs, ws);
+                self.cells[l].backward_seq_into(&caches[l], d_a, d_b, cell_grads, ws);
             } else {
-                self.lstms[l].backward_seq_into(&lstm_caches[l], d_b, d_a, refs, ws);
+                self.cells[l].backward_seq_into(&caches[l], d_b, d_a, cell_grads, ws);
             }
         }
         let d_bottom: &[Matrix] = if n % 2 == 1 { d_b } else { d_a };
@@ -321,7 +410,7 @@ impl SequenceModel {
         &self,
         view: &SeqView<'_>,
         indices: &[usize],
-        s: &mut SeqScratch,
+        s: &mut RecurrentScratch<C::Cache>,
         grads: &mut GradientSet,
         total: usize,
     ) -> f32 {
@@ -347,7 +436,7 @@ impl SequenceModel {
         &self,
         view: &SeqView<'_>,
         indices: &[usize],
-        scratch: &'s mut SeqScratch,
+        scratch: &'s mut RecurrentScratch<C::Cache>,
     ) -> &'s Matrix {
         self.forward_scratch(view, indices, scratch);
         scratch.probs.copy_from(scratch.head_cache.output());
@@ -358,7 +447,7 @@ impl SequenceModel {
     /// Probability distribution over the next template for each window
     /// (`B x vocab`).
     pub fn predict_probs(&self, batch: &SeqBatch) -> Matrix {
-        let mut scratch = SeqScratch::default();
+        let mut scratch = RecurrentScratch::default();
         let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets: &[] };
         let indices: Vec<usize> = (0..batch.len()).collect();
         self.predict_probs_view(&view, &indices, &mut scratch).clone()
@@ -366,7 +455,7 @@ impl SequenceModel {
 
     /// Mean cross-entropy of the batch without updating any weights.
     pub fn evaluate_loss(&self, batch: &SeqBatch, targets: &[usize]) -> f32 {
-        let mut scratch = SeqScratch::default();
+        let mut scratch = RecurrentScratch::default();
         let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets };
         let indices: Vec<usize> = (0..batch.len()).collect();
         self.forward_scratch(&view, &indices, &mut scratch);
@@ -377,7 +466,7 @@ impl SequenceModel {
     ///
     /// Thin compatibility wrapper over the [`BatchLoss`] path used by
     /// `Trainer`; the optimizer must have been built for this model's
-    /// parameter layout (see [`SequenceModel::param_shapes`]).
+    /// parameter layout (see [`RecurrentModel::param_shapes`]).
     pub fn train_step(
         &mut self,
         batch: &SeqBatch,
@@ -394,14 +483,14 @@ impl SequenceModel {
         loss_value
     }
 
-    /// How many leading parameters belong to the frozen bottom components.
+    /// How many leading parameters belong to the frozen bottom components
+    /// (the embedding owns one matrix, each recurrent layer three).
     fn frozen_param_count(&self) -> usize {
-        // Component i owns: embedding -> 1 param, each LSTM -> 3, head -> 2.
-        let mut count = 0;
-        for comp in 0..self.frozen_bottom {
-            count += if comp == 0 { 1 } else { 3 };
+        if self.frozen_bottom == 0 {
+            0
+        } else {
+            1 + CELL_PARAMS * (self.frozen_bottom - 1)
         }
-        count
     }
 
     /// Shapes of all parameters in optimizer order.
@@ -409,15 +498,16 @@ impl SequenceModel {
         self.params().iter().map(|p| p.shape()).collect()
     }
 
-    /// Serializes the model (architecture + weights).
+    /// Serializes the model (architecture + weights) under the cell's
+    /// checkpoint tag.
     pub fn to_checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            tag: "sequence-model".to_string(),
+            tag: C::TAG.to_string(),
             dims: vec![
                 self.cfg.vocab,
                 self.cfg.embed_dim,
                 self.cfg.hidden,
-                self.cfg.lstm_layers,
+                self.cfg.layers,
                 usize::from(self.cfg.use_gap_feature),
             ],
             params: self.params().iter().map(|p| MatrixDump::from_matrix(p)).collect(),
@@ -425,25 +515,28 @@ impl SequenceModel {
     }
 
     /// Restores a model from a checkpoint produced by
-    /// [`SequenceModel::to_checkpoint`], reporting structural problems
-    /// (wrong tag, malformed dims, mismatched parameter shapes) as
-    /// typed errors instead of panicking.
+    /// [`RecurrentModel::to_checkpoint`] for the same cell, reporting
+    /// structural problems (wrong tag, malformed dims, mismatched
+    /// parameter shapes) as typed errors instead of panicking.
     pub fn try_from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        if ckpt.tag != "sequence-model" {
+        if ckpt.tag != C::TAG {
             return Err(CheckpointError::Invalid(format!(
-                "expected tag \"sequence-model\", found {:?}",
+                "expected tag {:?}, found {:?}",
+                C::TAG,
                 ckpt.tag
             )));
         }
         if ckpt.dims.len() != 5 {
             return Err(CheckpointError::Invalid(format!(
-                "sequence-model checkpoint needs 5 dims, found {}",
+                "{} checkpoint needs 5 dims, found {}",
+                C::TAG,
                 ckpt.dims.len()
             )));
         }
-        if ckpt.dims[..4].contains(&0) {
+        if ckpt.dims[..4].contains(&0) || ckpt.dims[0] < 2 {
             return Err(CheckpointError::Invalid(format!(
-                "sequence-model dims must be non-zero, found {:?}",
+                "{} dims must be non-zero with a vocabulary of at least 2, found {:?}",
+                C::TAG,
                 ckpt.dims
             )));
         }
@@ -451,27 +544,27 @@ impl SequenceModel {
             vocab: ckpt.dims[0],
             embed_dim: ckpt.dims[1],
             hidden: ckpt.dims[2],
-            lstm_layers: ckpt.dims[3],
+            layers: ckpt.dims[3],
             use_gap_feature: ckpt.dims[4] != 0,
         };
         let mut rng = rand::rngs::mock::StepRng::new(1, 1);
-        let mut model = SequenceModel::new(cfg, &mut rng);
+        let mut model = RecurrentModel::new(cfg, &mut rng);
         restore_params(&mut model, ckpt)?;
         Ok(model)
     }
 
     /// Panicking convenience wrapper around
-    /// [`SequenceModel::try_from_checkpoint`] for checkpoints known to
+    /// [`RecurrentModel::try_from_checkpoint`] for checkpoints known to
     /// be valid (e.g. built in-process).
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Self {
-        SequenceModel::try_from_checkpoint(ckpt).expect("valid sequence-model checkpoint")
+        RecurrentModel::try_from_checkpoint(ckpt).expect("valid sequence-model checkpoint")
     }
 }
 
-impl Trainable for SequenceModel {
+impl<C: RecurrentCell> Trainable for RecurrentModel<C> {
     fn params(&self) -> Vec<&Matrix> {
         let mut out = self.embedding.params();
-        for l in &self.lstms {
+        for l in &self.cells {
             out.extend(l.params());
         }
         out.extend(self.head.params());
@@ -480,7 +573,7 @@ impl Trainable for SequenceModel {
 
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         let mut out = self.embedding.params_mut();
-        for l in &mut self.lstms {
+        for l in &mut self.cells {
             out.extend(l.params_mut());
         }
         out.extend(self.head.params_mut());
@@ -488,7 +581,7 @@ impl Trainable for SequenceModel {
     }
 }
 
-impl<'a> BatchLoss<SeqView<'a>> for SequenceModel {
+impl<'a, C: RecurrentCell> BatchLoss<SeqView<'a>> for RecurrentModel<C> {
     fn batch_gradients(
         &mut self,
         data: &SeqView<'a>,
@@ -508,15 +601,15 @@ impl<'a> BatchLoss<SeqView<'a>> for SequenceModel {
     }
 }
 
-impl<'a> ShardedBatchLoss<SeqView<'a>> for SequenceModel {
-    type Worker = SeqScratch;
+impl<'a, C: RecurrentCell> ShardedBatchLoss<SeqView<'a>> for RecurrentModel<C> {
+    type Worker = RecurrentScratch<C::Cache>;
 
     fn shard_gradients(
         &self,
         data: &SeqView<'a>,
         indices: &[usize],
         total: usize,
-        worker: &mut SeqScratch,
+        worker: &mut RecurrentScratch<C::Cache>,
         grads: &mut GradientSet,
     ) -> f32 {
         self.seq_grads_impl(data, indices, worker, grads, total)
@@ -719,10 +812,7 @@ impl Mlp {
 /// Copies checkpoint matrices into a freshly-built model, verifying the
 /// parameter count and every matrix shape against the architecture the
 /// dims describe.
-pub(crate) fn restore_params<M: Trainable>(
-    model: &mut M,
-    ckpt: &Checkpoint,
-) -> Result<(), CheckpointError> {
+fn restore_params<M: Trainable>(model: &mut M, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
     let mut params = model.params_mut();
     if params.len() != ckpt.params.len() {
         return Err(CheckpointError::Invalid(format!(
@@ -802,6 +892,103 @@ mod tests {
     use crate::optimizer::Adam;
     use rand::{rngs::SmallRng, SeedableRng};
 
+    /// Instantiates generic `fn name<C: RecurrentCell>()` tests once per
+    /// cell, as `tests::lstm::name` and `tests::gru::name`.
+    macro_rules! cell_tests {
+        ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
+            mod lstm {
+                $(#[test] $(#[$attr])* fn $name() { super::$name::<crate::LstmLayer>() })*
+            }
+            mod gru {
+                $(#[test] $(#[$attr])* fn $name() { super::$name::<crate::GruLayer>() })*
+            }
+        };
+    }
+
+    cell_tests!(
+        gradient_check_all_parameters,
+        gradient_check_inputs,
+        learns_a_deterministic_cycle,
+        probs_rows_are_distributions,
+        frozen_bottom_components_do_not_move,
+        checkpoint_roundtrip_preserves_predictions,
+        #[should_panic(expected = "ragged windows")]
+        ragged_batch_is_rejected,
+    );
+
+    /// Loss = 0.5 * sum over all steps of ||h_t||^2, so dL/dh_t = h_t.
+    fn seq_loss<C: RecurrentCell>(layer: &C, xs: &[Matrix]) -> f32 {
+        let (hs, _) = layer.forward_seq(xs);
+        hs.iter().map(|h| 0.5 * h.as_slice().iter().map(|v| v * v).sum::<f32>()).sum()
+    }
+
+    fn gradient_check_all_parameters<C: RecurrentCell>() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        let mut layer = C::new(3, 2, &mut rng);
+        let xs: Vec<Matrix> =
+            (0..4).map(|_| nfv_tensor::uniform_in(2, 3, -1.0, 1.0, &mut rng)).collect();
+
+        let (hs, cache) = layer.forward_seq(&xs);
+        let d_hs: Vec<Matrix> = hs.clone();
+        let (_, analytic) = layer.backward_seq(&cache, &d_hs);
+
+        let eps = 1e-2f32;
+        for (pi, analytic_grad) in analytic.iter().enumerate() {
+            let len = layer.params()[pi].as_slice().len();
+            // Probe a deterministic sample of entries in each parameter.
+            for idx in (0..len).step_by(1 + len / 7) {
+                let orig = layer.params()[pi].as_slice()[idx];
+                layer.params_mut()[pi].as_mut_slice()[idx] = orig + eps;
+                let plus = seq_loss(&layer, &xs);
+                layer.params_mut()[pi].as_mut_slice()[idx] = orig - eps;
+                let minus = seq_loss(&layer, &xs);
+                layer.params_mut()[pi].as_mut_slice()[idx] = orig;
+                let numeric = (plus - minus) / (2.0 * eps);
+                let a = analytic_grad.as_slice()[idx];
+                assert!(
+                    (a - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
+                    "param {} idx {}: analytic {} vs numeric {}",
+                    pi,
+                    idx,
+                    numeric,
+                    a
+                );
+            }
+        }
+    }
+
+    fn gradient_check_inputs<C: RecurrentCell>() {
+        let mut rng = SmallRng::seed_from_u64(33);
+        let layer = C::new(2, 3, &mut rng);
+        let mut xs: Vec<Matrix> =
+            (0..3).map(|_| nfv_tensor::uniform_in(1, 2, -1.0, 1.0, &mut rng)).collect();
+
+        let (hs, cache) = layer.forward_seq(&xs);
+        let (dxs, _) = layer.backward_seq(&cache, &hs);
+
+        let eps = 1e-2f32;
+        for t in 0..xs.len() {
+            for idx in 0..xs[t].as_slice().len() {
+                let orig = xs[t].as_slice()[idx];
+                xs[t].as_mut_slice()[idx] = orig + eps;
+                let plus = seq_loss(&layer, &xs);
+                xs[t].as_mut_slice()[idx] = orig - eps;
+                let minus = seq_loss(&layer, &xs);
+                xs[t].as_mut_slice()[idx] = orig;
+                let numeric = (plus - minus) / (2.0 * eps);
+                let analytic = dxs[t].as_slice()[idx];
+                assert!(
+                    (analytic - numeric).abs() < 3e-2 * (1.0 + numeric.abs()),
+                    "step {} idx {}: analytic {} vs numeric {}",
+                    t,
+                    idx,
+                    analytic,
+                    numeric
+                );
+            }
+        }
+    }
+
     fn toy_batch(window: usize, pattern: &[usize]) -> (SeqBatch, Vec<usize>) {
         // Sliding windows over a repeating pattern; the next id is always
         // deterministic, so the model should learn it nearly perfectly.
@@ -817,17 +1004,16 @@ mod tests {
         (SeqBatch { ids, gaps }, targets)
     }
 
-    #[test]
-    fn learns_a_deterministic_cycle() {
+    fn learns_a_deterministic_cycle<C: RecurrentCell>() {
         let cfg = SequenceModelConfig {
             vocab: 4,
             embed_dim: 6,
             hidden: 12,
-            lstm_layers: 2,
+            layers: 2,
             use_gap_feature: true,
         };
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut model = SequenceModel::new(cfg, &mut rng);
+        let mut model = RecurrentModel::<C>::new(cfg, &mut rng);
         let (batch, targets) = toy_batch(5, &[0, 1, 2, 3]);
         let mut opt = Adam::new(0.01, &model.param_shapes());
 
@@ -855,10 +1041,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn probs_rows_are_distributions() {
+    fn probs_rows_are_distributions<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let model = SequenceModel::new(SequenceModelConfig::default(), &mut rng);
+        let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
         let batch = SeqBatch {
             ids: vec![vec![1, 2, 3], vec![4, 5, 6]],
             gaps: vec![vec![0.1, 0.2, 0.3], vec![0.0, 0.0, 0.0]],
@@ -871,18 +1056,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frozen_bottom_components_do_not_move() {
+    fn frozen_bottom_components_do_not_move<C: RecurrentCell>() {
         let cfg = SequenceModelConfig {
             vocab: 5,
             embed_dim: 4,
             hidden: 6,
-            lstm_layers: 2,
+            layers: 2,
             use_gap_feature: false,
         };
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut model = SequenceModel::new(cfg, &mut rng);
-        model.set_frozen_bottom(2); // freeze embedding + first LSTM
+        let mut model = RecurrentModel::<C>::new(cfg, &mut rng);
+        model.set_frozen_bottom(2); // freeze embedding + first recurrent layer
 
         let before: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
         let batch = SeqBatch { ids: vec![vec![0, 1, 2, 3]], gaps: vec![] };
@@ -892,21 +1076,20 @@ mod tests {
         }
         let after: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
 
-        // Embedding (1 param) + LSTM0 (3 params) frozen; the rest must move.
+        // Embedding (1 param) + layer 0 (3 params) frozen; the rest must move.
         for i in 0..4 {
             assert_eq!(before[i], after[i], "frozen param {} moved", i);
         }
-        assert_ne!(before[4], after[4], "unfrozen LSTM1 did not move");
+        assert_ne!(before[4], after[4], "unfrozen layer 1 did not move");
         assert_ne!(before[7], after[7], "unfrozen head did not move");
     }
 
-    #[test]
-    fn checkpoint_roundtrip_preserves_predictions() {
+    fn checkpoint_roundtrip_preserves_predictions<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(19);
-        let model = SequenceModel::new(SequenceModelConfig::default(), &mut rng);
+        let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
         let batch = SeqBatch { ids: vec![vec![7, 8, 9, 10]], gaps: vec![vec![0.1, 0.4, 0.2, 0.9]] };
         let original = model.predict_probs(&batch);
-        let restored = SequenceModel::from_checkpoint(&model.to_checkpoint());
+        let restored = RecurrentModel::<C>::from_checkpoint(&model.to_checkpoint());
         let roundtrip = restored.predict_probs(&batch);
         assert_eq!(original.as_slice(), roundtrip.as_slice());
     }
@@ -935,11 +1118,9 @@ mod tests {
         assert_eq!(mlp.infer(&x).as_slice(), restored.infer(&x).as_slice());
     }
 
-    #[test]
-    #[should_panic(expected = "ragged windows")]
-    fn ragged_batch_is_rejected() {
+    fn ragged_batch_is_rejected<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let model = SequenceModel::new(SequenceModelConfig::default(), &mut rng);
+        let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
         let batch = SeqBatch {
             ids: vec![vec![1, 2, 3], vec![1, 2]],
             gaps: vec![vec![0.0; 3], vec![0.0; 2]],

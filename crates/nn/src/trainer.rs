@@ -7,7 +7,7 @@
 //! [`Trainer`] owns everything around it: the optimizer, the epoch/batch
 //! loop, deterministic shuffling, clipping, masking of frozen parameters,
 //! and per-step/per-epoch loss traces. This replaces the near-identical
-//! loops that used to live in `lstm_detector.rs`, `baselines.rs`, and the
+//! loops that used to live in the LSTM detector, `baselines.rs`, and the
 //! `Mlp` autoencoder path.
 
 use crate::optimizer::Optimizer;

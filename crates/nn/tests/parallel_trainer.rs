@@ -36,7 +36,7 @@ fn seq_model(seed: u64) -> SequenceModel {
         vocab: 10,
         embed_dim: 6,
         hidden: 12,
-        lstm_layers: 2,
+        layers: 2,
         use_gap_feature: true,
     };
     SequenceModel::new(cfg, &mut SmallRng::seed_from_u64(seed))

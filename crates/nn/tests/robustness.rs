@@ -10,13 +10,7 @@ use rand::{rngs::SmallRng, SeedableRng};
 fn small_model(seed: u64, vocab: usize) -> SequenceModel {
     let mut rng = SmallRng::seed_from_u64(seed);
     SequenceModel::new(
-        SequenceModelConfig {
-            vocab,
-            embed_dim: 5,
-            hidden: 7,
-            lstm_layers: 2,
-            use_gap_feature: true,
-        },
+        SequenceModelConfig { vocab, embed_dim: 5, hidden: 7, layers: 2, use_gap_feature: true },
         &mut rng,
     )
 }

@@ -7,7 +7,6 @@
 //! parses those lines and recovers template ids through the signature
 //! tree, exactly as the production pipeline would.
 
-pub mod drain;
 pub mod message;
 pub mod parse;
 pub mod signature_tree;
@@ -16,7 +15,6 @@ pub mod template;
 pub mod time;
 pub mod vocab;
 
-pub use drain::{DrainConfig, DrainMiner};
 pub use message::{Severity, SyslogMessage};
 pub use signature_tree::{SigToken, Signature, SignatureTree, SignatureTreeConfig};
 pub use stream::{LogRecord, LogStream};

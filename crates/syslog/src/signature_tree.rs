@@ -96,8 +96,8 @@ pub struct SignatureTree {
 /// A token is variable-looking when it contains a digit (numbers, IPs,
 /// interface names, hex ids) or is the wildcard marker `*` (which
 /// appears when a tree is rebuilt from rendered signature patterns).
-/// Such tokens never become literals. Shared with the Drain miner.
-pub(crate) fn looks_variable(token: &str) -> bool {
+/// Such tokens never become literals.
+fn looks_variable(token: &str) -> bool {
     token == "*" || token.bytes().any(|b| b.is_ascii_digit())
 }
 

@@ -17,7 +17,7 @@
 //! memory, exact drop accounting, deterministic degrade-and-recover,
 //! and that anomalies injected after recovery are still caught.
 
-use nfv_detect::lstm_detector::LstmDetectorConfig;
+use nfv_detect::seq_detector::LstmDetectorConfig;
 use nfv_detect::serve::{ServeConfig, ServeCore, ServeEvent, ServeState, ServeStats};
 use nfv_detect::{
     AnomalyDetector, FeedHealth, FeedState, FleetEvent, FleetMonitor, FleetMonitorConfig, LogCodec,

@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use nfv_detect::lstm_detector::LstmDetectorConfig;
 use nfv_detect::pipeline::{
     run_pipeline, CrashPoint, DetectorKind, PipelineConfig, PipelineError, PipelineEvent,
     PipelineRun,
 };
+use nfv_detect::seq_detector::LstmDetectorConfig;
 use nfv_detect::serve::{ServeConfig, ServeCore, ServeEvent, ServeStats};
 use nfv_detect::{
     AnomalyDetector, FeedHealth, FleetMonitor, FleetMonitorConfig, LogCodec, LstmDetector,
