@@ -16,12 +16,12 @@
 //!
 //! ```text
 //! cargo run --release -p nfv-bench --bin fleet10k \
-//!     [-- --fast --vpes N --seed N --json PATH --rss-budget-mib=N --threads=N]
+//!     [-- --fast --vpes N --seed N --json PATH --rss-budget-mib=N]
 //! ```
 //!
 //! Defaults: 10,000 vPEs (512 with `--fast`), budget 1024 MiB (512 MiB
-//! under 4096 vPEs). Results land in `results/BENCH_fleet10k.json`
-//! unless `--json` overrides the path.
+//! under 4096 vPEs), one worker per host core. `--json PATH` also
+//! writes the results as JSON.
 
 use nfv_bench::BenchArgs;
 use nfv_detect::codec::LogCodec;
@@ -51,18 +51,15 @@ const CODEC_SAMPLE_VPES: usize = 32;
 
 fn main() {
     let mut rss_budget_mib: Option<f64> = None;
-    let mut threads: usize = 4;
-    let args = BenchArgs::parse_with(|flag| {
-        if let Some(v) = flag.strip_prefix("--rss-budget-mib=") {
+    let args = BenchArgs::parse_with(|flag| match flag.strip_prefix("--rss-budget-mib=") {
+        Some(v) => {
             rss_budget_mib = v.parse().ok();
             rss_budget_mib.is_some()
-        } else if let Some(v) = flag.strip_prefix("--threads=") {
-            threads = v.parse().unwrap_or(threads);
-            true
-        } else {
-            false
         }
+        None => false,
     });
+    // Auto: one worker per host core, the count the JSON records.
+    let threads = nfv_pool::resolve_workers(0, usize::MAX);
     let n_vpes = args.vpes.unwrap_or(if args.fast { 512 } else { 10_000 });
     let budget_mib = rss_budget_mib.unwrap_or(if n_vpes >= 4096 { 1024.0 } else { 512.0 });
     let window = 6usize;
@@ -207,11 +204,7 @@ fn main() {
         "seed": args.seed,
         "fast": args.fast,
     });
-    let path = args.json.clone().unwrap_or_else(|| "results/BENCH_fleet10k.json".into());
-    std::fs::create_dir_all(std::path::Path::new(&path).parent().unwrap_or(".".as_ref())).ok();
-    std::fs::write(&path, serde_json::to_string_pretty(&value).expect("serializable"))
-        .unwrap_or_else(|e| eprintln!("failed to write {}: {}", path, e));
-    eprintln!("wrote {}", path);
+    args.maybe_write_json(&value);
 
     let mut failed = false;
     if mismatches > 0 {

@@ -73,49 +73,10 @@ impl GruSeqCache {
     }
 }
 
-/// Recurrent state `h` carried between steps during streaming inference.
-#[derive(Debug, Clone)]
-pub struct GruState {
-    /// Hidden state (`B x H`).
-    pub h: Matrix,
-}
-
-impl GruState {
-    /// Zero state for a batch of `batch` rows and `hidden` units.
-    pub fn zeros(batch: usize, hidden: usize) -> Self {
-        GruState { h: Matrix::zeros(batch, hidden) }
-    }
-}
-
 impl GruLayer {
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.wx.rows()
-    }
-
-    /// One forward step without caching; used for streaming inference.
-    pub fn step_infer(&self, x: &Matrix, state: &GruState) -> GruState {
-        let batch = x.rows();
-        let hd = self.hidden;
-        assert_eq!(x.cols(), self.input_dim(), "GruLayer: input width mismatch");
-        assert_eq!(state.h.shape(), (batch, hd), "GruLayer: h shape mismatch");
-
-        let mut zx = x.matmul(&self.wx);
-        zx.add_row_broadcast(self.b.row(0));
-        let zh = state.h.matmul(&self.wh);
-
-        let mut h = Matrix::zeros(batch, hd);
-        for r in 0..batch {
-            let zx_row = zx.row(r);
-            let zh_row = zh.row(r);
-            for k in 0..hd {
-                let rg = sigmoid(zx_row[k] + zh_row[k]);
-                let zg = sigmoid(zx_row[hd + k] + zh_row[hd + k]);
-                let n = (zx_row[2 * hd + k] + rg * zh_row[2 * hd + k]).tanh();
-                h.set(r, k, (1.0 - zg) * n + zg * state.h.get(r, k));
-            }
-        }
-        GruState { h }
     }
 }
 
@@ -292,7 +253,7 @@ mod tests {
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
-    fn forward_shapes_and_state_propagation() {
+    fn forward_shapes_are_finite() {
         let mut rng = SmallRng::seed_from_u64(11);
         let layer = GruLayer::new(3, 4, &mut rng);
         let xs: Vec<Matrix> =
@@ -302,14 +263,6 @@ mod tests {
         for h in &hs {
             assert_eq!(h.shape(), (2, 4));
             assert!(!h.has_non_finite());
-        }
-        // Streaming inference must match the batched sequence forward.
-        let mut state = GruState::zeros(2, 4);
-        for (t, x) in xs.iter().enumerate() {
-            state = layer.step_infer(x, &state);
-            for (a, b) in state.h.as_slice().iter().zip(hs[t].as_slice().iter()) {
-                assert!((a - b).abs() < 1e-6);
-            }
         }
     }
 

@@ -76,79 +76,10 @@ impl LstmSeqCache {
     }
 }
 
-/// Recurrent state `(h, c)` carried between steps during streaming
-/// inference.
-#[derive(Debug, Clone)]
-pub struct LstmState {
-    /// Hidden state (`B x H`).
-    pub h: Matrix,
-    /// Cell state (`B x H`).
-    pub c: Matrix,
-}
-
-impl LstmState {
-    /// Zero state for a batch of `batch` rows and `hidden` units.
-    pub fn zeros(batch: usize, hidden: usize) -> Self {
-        LstmState { h: Matrix::zeros(batch, hidden), c: Matrix::zeros(batch, hidden) }
-    }
-}
-
 impl LstmLayer {
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.wx.rows()
-    }
-
-    /// One forward step without caching; used for streaming inference.
-    pub fn step_infer(&self, x: &Matrix, state: &LstmState) -> LstmState {
-        let (h, c, _, _) = self.step(x, &state.h, &state.c);
-        LstmState { h, c }
-    }
-
-    /// Computes one step, returning `(h, c, gates, tanh_c)`.
-    fn step(
-        &self,
-        x: &Matrix,
-        h_prev: &Matrix,
-        c_prev: &Matrix,
-    ) -> (Matrix, Matrix, Matrix, Matrix) {
-        let batch = x.rows();
-        let hd = self.hidden;
-        assert_eq!(x.cols(), self.input_dim(), "LstmLayer: input width mismatch");
-        assert_eq!(h_prev.shape(), (batch, hd), "LstmLayer: h shape mismatch");
-        assert_eq!(c_prev.shape(), (batch, hd), "LstmLayer: c shape mismatch");
-
-        let mut z = x.matmul(&self.wx);
-        let zh = h_prev.matmul(&self.wh);
-        z.add_assign(&zh);
-        z.add_row_broadcast(self.b.row(0));
-
-        // Activate the gates in place: [i f g o].
-        let mut gates = z;
-        for r in 0..batch {
-            let row = gates.row_mut(r);
-            for k in 0..hd {
-                row[k] = sigmoid(row[k]); // i
-                row[hd + k] = sigmoid(row[hd + k]); // f
-                row[2 * hd + k] = row[2 * hd + k].tanh(); // g
-                row[3 * hd + k] = sigmoid(row[3 * hd + k]); // o
-            }
-        }
-
-        let mut c = Matrix::zeros(batch, hd);
-        let mut tanh_c = Matrix::zeros(batch, hd);
-        let mut h = Matrix::zeros(batch, hd);
-        for r in 0..batch {
-            let g_row = gates.row(r);
-            for k in 0..hd {
-                let ct = g_row[hd + k] * c_prev.get(r, k) + g_row[k] * g_row[2 * hd + k];
-                let tc = ct.tanh();
-                c.set(r, k, ct);
-                tanh_c.set(r, k, tc);
-                h.set(r, k, g_row[3 * hd + k] * tc);
-            }
-        }
-        (h, c, gates, tanh_c)
     }
 }
 
@@ -332,7 +263,7 @@ mod tests {
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
-    fn forward_shapes_and_state_propagation() {
+    fn forward_shapes_are_finite() {
         let mut rng = SmallRng::seed_from_u64(11);
         let layer = LstmLayer::new(3, 4, &mut rng);
         let xs: Vec<Matrix> =
@@ -342,14 +273,6 @@ mod tests {
         for h in &hs {
             assert_eq!(h.shape(), (2, 4));
             assert!(!h.has_non_finite());
-        }
-        // Streaming inference must match the batched sequence forward.
-        let mut state = LstmState::zeros(2, 4);
-        for (t, x) in xs.iter().enumerate() {
-            state = layer.step_infer(x, &state);
-            for (a, b) in state.h.as_slice().iter().zip(hs[t].as_slice().iter()) {
-                assert!((a - b).abs() < 1e-6);
-            }
         }
     }
 

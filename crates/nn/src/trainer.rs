@@ -37,10 +37,10 @@ pub const MAX_SHARDS_PER_BATCH: usize = 16;
 
 /// Batches with fewer rows than this run their shards on the calling
 /// thread even when `threads > 1`: at small batch sizes the per-step
-/// scoped-spawn overhead exceeds the parallel win (the 0.90x/0.82x
-/// regression recorded in `results/BENCH_fleet_epoch.json`). This is
-/// scheduling only — the shard layout and the ascending-shard reduction
-/// order are untouched, so the bits are identical either way.
+/// scoped-spawn overhead exceeds the parallel win (a measured
+/// 0.90x/0.82x regression). This is scheduling only — the shard layout
+/// and the ascending-shard reduction order are untouched, so the bits
+/// are identical either way.
 pub const PAR_MIN_BATCH_ROWS: usize = 512;
 
 /// Knobs for a [`Trainer`] run. The learning rate lives on the optimizer.

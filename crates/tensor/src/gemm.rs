@@ -68,8 +68,8 @@ pub const MR: usize = 4;
 
 /// Minimum product volume (`m · k · n` multiplies) for the row-panel
 /// parallel path. Below this the whole product takes ~tens of
-/// microseconds serially — the same order as a pool dispatch — so the
-/// fan-out cannot win (measured by `nfv-bench --bin pool_overhead`).
+/// microseconds serially — the same order as a measured pool dispatch —
+/// so the fan-out cannot win.
 pub const PAR_MIN_MKN: usize = 32 * 1024;
 
 thread_local! {

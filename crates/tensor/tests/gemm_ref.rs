@@ -215,9 +215,12 @@ fn sparse_fixture(rows: usize, cols: usize, salt: usize) -> Matrix {
 }
 
 /// Shapes chosen to exercise full panels, the zero-padded column tail,
-/// the 4-row micro-kernel and its remainder rows, and the LSTM training
-/// dimensions themselves.
-const FIXTURE_SHAPES: [(usize, usize, usize); 8] = [
+/// the 4-row micro-kernel and its remainder rows, and every product the
+/// default detectors train with: batch 64, LSTM input 17, hidden 32 and
+/// vocab 64 (gate forwards, head, BPTT `xᵀ·dz`/`hᵀ·dz` and `dz·Wᵀ`), and
+/// the autoencoder's `[64, 32, 8, 32, 64]` layers. Each `(m, k, n)` is
+/// an `m x n` output summed over `k` products, in every form.
+const FIXTURE_SHAPES: [(usize, usize, usize); 17] = [
     (1, 1, 1),
     (4, 4, 4),
     (5, 7, 9),
@@ -226,6 +229,15 @@ const FIXTURE_SHAPES: [(usize, usize, usize); 8] = [
     (2, 25, 11),
     (13, 6, 8),
     (64, 17, 128),
+    (64, 32, 128),
+    (64, 32, 64),
+    (17, 64, 128),
+    (32, 64, 128),
+    (64, 128, 17),
+    (64, 128, 32),
+    (64, 64, 32),
+    (64, 32, 8),
+    (32, 64, 64),
 ];
 
 // ---------------------------------------------------------------------
