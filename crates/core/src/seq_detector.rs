@@ -33,6 +33,7 @@ use nfv_nn::{
 };
 use nfv_syslog::stream::WindowSet;
 use nfv_syslog::LogStream;
+use nfv_tensor::act;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
@@ -339,7 +340,7 @@ impl<C: RecurrentCell> WindowScorer for SeqDetector<C> {
     fn score_events(&self, ws: &WindowSet) -> Vec<ScoredEvent> {
         self.predict_map(ws, |global_idx, target, probs| {
             let p = probs[target].max(1e-9);
-            ScoredEvent { time: ws.times[global_idx], score: -p.ln() }
+            ScoredEvent { time: ws.times[global_idx], score: -act::ln(p) }
         })
     }
 }
@@ -409,7 +410,7 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
             par::effective_threads(threads, usize::MAX),
             |global_idx, target, probs| {
                 let p = probs[target].max(1e-9);
-                ScoredEvent { time: all.times[global_idx], score: -p.ln() }
+                ScoredEvent { time: all.times[global_idx], score: -act::ln(p) }
             },
         );
         let mut out = Vec::with_capacity(streams.len());

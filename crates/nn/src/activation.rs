@@ -1,6 +1,10 @@
-//! Pointwise activation functions and their derivatives.
+//! Pointwise activation functions and their derivatives. The sigmoid
+//! and tanh values come from [`nfv_tensor::act`]: its scalar reference
+//! per element, its slice kernels per matrix.
 
-use nfv_tensor::Matrix;
+use nfv_tensor::{act, Matrix};
+
+pub use nfv_tensor::act::sigmoid;
 
 /// Supported pointwise activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +25,8 @@ impl Activation {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,
-            Activation::Sigmoid => sigmoid(x),
-            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => act::sigmoid(x),
+            Activation::Tanh => act::tanh(x),
             Activation::Relu => x.max(0.0),
         }
     }
@@ -49,21 +53,12 @@ impl Activation {
 
     /// Applies the activation elementwise in place.
     pub fn apply_inplace(self, m: &mut Matrix) {
-        if self == Activation::Identity {
-            return;
+        match self {
+            Activation::Identity => {}
+            Activation::Sigmoid => act::sigmoid_inplace(m.as_mut_slice()),
+            Activation::Tanh => act::tanh_inplace(m.as_mut_slice()),
+            Activation::Relu => m.map_inplace(|x| x.max(0.0)),
         }
-        m.map_inplace(|x| self.apply(x));
-    }
-}
-
-/// Numerically-stable logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 

@@ -19,10 +19,9 @@
 //! Three parameter matrices per layer instead of the LSTM's four gates
 //! means ~25% fewer weights at the same hidden width.
 
-use crate::activation::sigmoid;
 use crate::model::RecurrentCell;
 use crate::Trainable;
-use nfv_tensor::{xavier_uniform, Matrix, Workspace};
+use nfv_tensor::{act, xavier_uniform, Matrix, Workspace};
 use rand::Rng;
 
 /// One GRU layer: parameters `Wx` (`I x 3H`), `Wh` (`H x 3H`), `b` (`1 x 3H`).
@@ -127,19 +126,30 @@ impl RecurrentCell for GruLayer {
             gates.add_row_broadcast(self.b.row(0));
             h_prev.matmul_into(&self.wh, zh);
 
-            // Activate in place: [r z n], caching the raw zh_n in hn.
+            // Activate in place, the whole batch per kernel call: [r z]
+            // from zx + zh, then n from zx_n + r * zh_n, caching the raw
+            // zh_n in hn.
+            for r in 0..batch {
+                for (g, &z) in gates.row_mut(r)[..2 * hd].iter_mut().zip(&zh.row(r)[..2 * hd]) {
+                    *g += z;
+                }
+            }
+            let (r_z, n_cols) = (0..2 * hd, 2 * hd..3 * hd);
+            gates.apply_cols(act::sigmoid_inplace, &[r_z]);
             for r in 0..batch {
                 let row = gates.row_mut(r);
                 let zh_row = zh.row(r);
                 for k in 0..hd {
-                    let rg = sigmoid(row[k] + zh_row[k]);
-                    let zg = sigmoid(row[hd + k] + zh_row[hd + k]);
                     let hn_v = zh_row[2 * hd + k];
-                    let n = (row[2 * hd + k] + rg * hn_v).tanh();
-                    row[k] = rg;
-                    row[hd + k] = zg;
-                    row[2 * hd + k] = n;
+                    row[2 * hd + k] += row[k] * hn_v;
                     hn.set(r, k, hn_v);
+                }
+            }
+            gates.apply_cols(act::tanh_inplace, &[n_cols]);
+            for r in 0..batch {
+                let row = gates.row(r);
+                for k in 0..hd {
+                    let (zg, n) = (row[hd + k], row[2 * hd + k]);
                     out.set(r, k, (1.0 - zg) * n + zg * h_prev.get(r, k));
                 }
             }

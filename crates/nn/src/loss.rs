@@ -1,7 +1,7 @@
 //! Loss functions: softmax cross-entropy (the paper trains the LSTM with
 //! categorical cross-entropy) and mean-squared error (autoencoder).
 
-use nfv_tensor::Matrix;
+use nfv_tensor::{act, Matrix};
 
 /// Softmax + categorical cross-entropy, fused for numerical stability.
 ///
@@ -44,7 +44,7 @@ pub fn softmax_cross_entropy_scaled_into(
     let mut loss = 0.0f32;
     for (r, &t) in targets.iter().enumerate() {
         assert!(t < logits.cols(), "target class {} out of range ({})", t, logits.cols());
-        loss -= dlogits.get(r, t).max(1e-12).ln();
+        loss -= act::ln(dlogits.get(r, t).max(1e-12));
     }
 
     // dL/dlogits = (softmax - onehot) / total.
@@ -54,13 +54,6 @@ pub fn softmax_cross_entropy_scaled_into(
     }
     dlogits.scale(1.0 / total_rows as f32);
     loss
-}
-
-/// Row-wise predicted class probabilities (softmax of logits).
-pub fn softmax_probs(logits: &Matrix) -> Matrix {
-    let mut probs = logits.clone();
-    probs.softmax_rows_inplace();
-    probs
 }
 
 /// Mean-squared error `mean((pred - target)^2)` and its gradient

@@ -16,10 +16,9 @@
 //! The forget-gate bias is initialized to 1.0, the standard trick that
 //! lets gradients flow early in training.
 
-use crate::activation::sigmoid;
 use crate::model::RecurrentCell;
 use crate::Trainable;
-use nfv_tensor::{xavier_uniform, Matrix, Workspace};
+use nfv_tensor::{act, xavier_uniform, Matrix, Workspace};
 use rand::Rng;
 use std::mem;
 
@@ -136,25 +135,24 @@ impl RecurrentCell for LstmLayer {
             gates.add_assign(zh);
             gates.add_row_broadcast(self.b.row(0));
 
-            // Activate the gates in place: [i f g o].
-            for r in 0..batch {
-                let row = gates.row_mut(r);
-                for k in 0..hd {
-                    row[k] = sigmoid(row[k]); // i
-                    row[hd + k] = sigmoid(row[hd + k]); // f
-                    row[2 * hd + k] = row[2 * hd + k].tanh(); // g
-                    row[3 * hd + k] = sigmoid(row[3 * hd + k]); // o
-                }
-            }
+            // Activate the gates in place, the whole batch per kernel call:
+            // sigmoid on [i f] and o, tanh on g.
+            let (i_f, g, o) = (0..2 * hd, 2 * hd..3 * hd, 3 * hd..4 * hd);
+            gates.apply_cols(act::sigmoid_inplace, &[i_f, o]);
+            gates.apply_cols(act::tanh_inplace, &[g]);
 
             for r in 0..batch {
                 let g_row = gates.row(r);
                 for k in 0..hd {
-                    let ct = g_row[hd + k] * c_prev.get(r, k) + g_row[k] * g_row[2 * hd + k];
-                    let tc = ct.tanh();
-                    c.set(r, k, ct);
-                    tanh_c.set(r, k, tc);
-                    out.set(r, k, g_row[3 * hd + k] * tc);
+                    c.set(r, k, g_row[hd + k] * c_prev.get(r, k) + g_row[k] * g_row[2 * hd + k]);
+                }
+            }
+            tanh_c.copy_from(c);
+            act::tanh_inplace(tanh_c.as_mut_slice());
+            for r in 0..batch {
+                let g_row = gates.row(r);
+                for k in 0..hd {
+                    out.set(r, k, g_row[3 * hd + k] * tanh_c.get(r, k));
                 }
             }
         }

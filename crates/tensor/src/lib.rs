@@ -11,6 +11,7 @@
 //! kernels `assert!` on mismatched dimensions with descriptive messages
 //! rather than returning `Result`.
 
+pub mod act;
 pub mod gemm;
 pub mod init;
 pub mod matrix;

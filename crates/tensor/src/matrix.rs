@@ -1,7 +1,9 @@
 //! A dense, row-major `f32` matrix and the kernels used by the neural
 //! network and classical ML crates.
 
+use crate::act;
 use std::fmt;
+use std::ops::Range;
 
 /// Dense row-major matrix of `f32`.
 ///
@@ -441,20 +443,79 @@ impl Matrix {
         self.data.iter().fold(0.0f32, |m, &a| m.max(a.abs()))
     }
 
-    /// In-place row-wise softmax (numerically stabilized).
+    /// In-place row-wise softmax (numerically stabilized): one
+    /// [`act::exp_inplace`] call over the whole matrix, then each row's
+    /// left-to-right sum.
     pub fn softmax_rows_inplace(&mut self) {
         let cols = self.cols;
-        for r in 0..self.rows {
-            let row = &mut self.data[r * cols..(r + 1) * cols];
+        if cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(cols) {
             let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let mut sum = 0.0f32;
             for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
+                *v -= max;
+            }
+        }
+        act::exp_inplace(&mut self.data);
+        for row in self.data.chunks_exact_mut(cols) {
+            let mut sum = 0.0f32;
+            for &v in row.iter() {
+                sum += v;
             }
             let inv = 1.0 / sum;
             for v in row.iter_mut() {
                 *v *= inv;
+            }
+        }
+    }
+
+    /// Applies the slice kernel `kernel` (e.g. [`act::sigmoid_inplace`])
+    /// in place to the columns `cols` (ascending, disjoint ranges) of
+    /// every row, in one call over the whole matrix.
+    ///
+    /// Several rows' segments are packed into one contiguous stack buffer
+    /// per kernel call, so the 8-lane kernels run on full chunks even when
+    /// one row's segment is shorter than a chunk. The kernels are
+    /// elementwise, so each element gets exactly the value `kernel` gives
+    /// it in place.
+    pub fn apply_cols(&mut self, kernel: fn(&mut [f32]), cols: &[Range<usize>]) {
+        const STAGE: usize = 512;
+        let stride = self.cols;
+        assert!(
+            cols.windows(2).all(|w| w[0].end <= w[1].start)
+                && cols.last().is_none_or(|c| c.end <= stride),
+            "apply_cols: column ranges must be ascending, disjoint and in bounds"
+        );
+        let width: usize = cols.iter().map(|c| c.len()).sum();
+        if width == 0 || self.data.is_empty() {
+            return;
+        }
+        let rows_per_stage = STAGE / width;
+        if rows_per_stage == 0 {
+            for row in self.data.chunks_exact_mut(stride) {
+                for c in cols {
+                    kernel(&mut row[c.clone()]);
+                }
+            }
+            return;
+        }
+        let mut stage = [0.0f32; STAGE];
+        for rows in self.data.chunks_mut(rows_per_stage * stride) {
+            let mut n = 0;
+            for row in rows.chunks_exact(stride) {
+                for c in cols {
+                    stage[n..n + c.len()].copy_from_slice(&row[c.clone()]);
+                    n += c.len();
+                }
+            }
+            kernel(&mut stage[..n]);
+            let mut n = 0;
+            for row in rows.chunks_exact_mut(stride) {
+                for c in cols {
+                    row[c.clone()].copy_from_slice(&stage[n..n + c.len()]);
+                    n += c.len();
+                }
             }
         }
     }

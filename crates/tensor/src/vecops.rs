@@ -1,4 +1,4 @@
-//! Free functions on `&[f32]` vectors: dot products, norms, softmax,
+//! Free functions on `&[f32]` vectors: dot products, norms,
 //! normalization, and distances used across the workspace.
 
 /// Dot product of two equal-length vectors.
@@ -34,14 +34,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
         return 0.0;
     }
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
-}
-
-/// Numerically-stable softmax into a fresh vector.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 /// Index of the maximum element. Returns `None` for an empty slice.
@@ -122,13 +114,6 @@ mod tests {
         assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
         assert!((cosine_similarity(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn softmax_sums_to_one() {
-        let p = softmax(&[0.0, 1.0, 2.0]);
-        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert!(p[2] > p[1] && p[1] > p[0]);
     }
 
     #[test]
