@@ -24,6 +24,7 @@ use nfv_syslog::stream::{gap_feature, WindowSet};
 use nfv_syslog::{LogRecord, SyslogMessage};
 use serde_json::{json, Value};
 use std::collections::VecDeque;
+use std::mem;
 use std::sync::Arc;
 
 /// A warning emitted by the monitor.
@@ -74,6 +75,30 @@ pub struct OnlineMonitor {
     anomalies_seen: u64,
     windows_scored: u64,
     windows_stride_skipped: u64,
+    /// Reused by every [`OnlineMonitor::observe_batch`] call; not
+    /// streaming state, so snapshots leave it out.
+    bufs: WindowBufs,
+}
+
+/// The buffers one [`OnlineMonitor::observe_batch`] call builds its
+/// windows in. Kept between calls, so once they have grown to the
+/// largest batch a call allocates none.
+#[derive(Default)]
+struct WindowBufs {
+    /// The batch's monotonicized, encoded records.
+    batch: Vec<LogRecord>,
+    /// Template id and gap feature of each context and batch record in
+    /// order: the gap is computed once per record and copied into every
+    /// window that holds it.
+    ids: Vec<usize>,
+    gaps: Vec<f32>,
+    /// The windows to score.
+    ws: WindowSet,
+    /// Window rows of earlier batches, refilled for this one's.
+    spare_ids: Vec<Vec<usize>>,
+    spare_gaps: Vec<Vec<f32>>,
+    /// Batch index of each scored window's target, for peak_text.
+    scored_pos: Vec<usize>,
 }
 
 impl OnlineMonitor {
@@ -115,6 +140,7 @@ impl OnlineMonitor {
             anomalies_seen: 0,
             windows_scored: 0,
             windows_stride_skipped: 0,
+            bufs: WindowBufs::default(),
         }
     }
 
@@ -185,35 +211,43 @@ impl OnlineMonitor {
         }
         self.messages_seen += messages.len() as u64;
         let window = self.detector.window();
+        let mut bufs = mem::take(&mut self.bufs);
+        let WindowBufs { batch, ids, gaps, ws, spare_ids, spare_gaps, scored_pos } = &mut bufs;
 
         // Monotonicize and encode the batch. A late message is treated
         // as happening "now" (retransmits and multi-process interleaving
         // are normal for syslog), so it is still scored and can still
         // extend a cluster.
-        let mut batch: Vec<LogRecord> = Vec::with_capacity(messages.len());
+        batch.clear();
         for m in messages {
             let time = m.timestamp.max(self.last_time);
             self.last_time = time;
             batch.push(LogRecord { time, template: self.codec.encode_text(&m.text) });
         }
 
+        // Each context and batch record's id and gap to its predecessor.
+        // The first record's gap is never read: every scored window
+        // starts at least one record in.
+        ids.clear();
+        gaps.clear();
+        let mut prev = None;
+        for r in self.recent.iter().chain(batch.iter()) {
+            ids.push(r.template);
+            gaps.push(prev.map_or(0.0, |p| gap_feature(r.time - p)));
+            prev = Some(r.time);
+        }
+
         // Select the batch records to score: each needs `window + 1`
         // predecessors (context + batch prefix), thinned by the stride.
         let ctx = self.recent.len();
-        let recent = &self.recent;
-        let at = |i: usize| -> LogRecord {
-            if i < ctx {
-                recent[i]
-            } else {
-                batch[i - ctx]
-            }
-        };
         let stride = self.stride as u64;
         let mut phase = self.stride_phase;
         let mut stride_skipped = 0u64;
-        let mut ws = WindowSet::default();
-        // Batch index of each scored window's target, for peak_text.
-        let mut scored_pos: Vec<usize> = Vec::new();
+        spare_ids.append(&mut ws.ids);
+        spare_gaps.append(&mut ws.gaps);
+        ws.targets.clear();
+        ws.times.clear();
+        scored_pos.clear();
         for (pos, record) in batch.iter().enumerate() {
             let g = ctx + pos; // combined index of the target record
             if g < window + 1 {
@@ -225,16 +259,14 @@ impl OnlineMonitor {
                 stride_skipped += 1;
                 continue;
             }
-            let mut ids = Vec::with_capacity(window);
-            let mut gaps = Vec::with_capacity(window);
-            for j in 0..window {
-                let i = g - window + j;
-                let r = at(i);
-                ids.push(r.template);
-                gaps.push(gap_feature(r.time - at(i - 1).time));
-            }
-            ws.ids.push(ids);
-            ws.gaps.push(gaps);
+            let mut row = spare_ids.pop().unwrap_or_default();
+            row.clear();
+            row.extend_from_slice(&ids[g - window..g]);
+            ws.ids.push(row);
+            let mut row = spare_gaps.pop().unwrap_or_default();
+            row.clear();
+            row.extend_from_slice(&gaps[g - window..g]);
+            ws.gaps.push(row);
             ws.targets.push(record.template);
             ws.times.push(record.time);
             scored_pos.push(pos);
@@ -244,8 +276,8 @@ impl OnlineMonitor {
 
         if !ws.is_empty() {
             self.windows_scored += ws.len() as u64;
-            let events = self.detector.score_events(&ws);
-            for (e, &pos) in events.iter().zip(&scored_pos) {
+            let events = self.detector.score_events(ws);
+            for (e, &pos) in events.iter().zip(scored_pos.iter()) {
                 if e.score < self.threshold {
                     continue;
                 }
@@ -258,12 +290,11 @@ impl OnlineMonitor {
 
         // Retain the last `window + 1` records as context for the next
         // batch.
-        for r in batch {
-            self.recent.push_back(r);
-        }
+        self.recent.extend(&batch[batch.len().saturating_sub(window + 1)..]);
         while self.recent.len() > window + 1 {
             self.recent.pop_front();
         }
+        self.bufs = bufs;
     }
 
     /// Serializes the monitor's mutable streaming state: trailing

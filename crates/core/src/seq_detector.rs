@@ -28,7 +28,7 @@ use crate::state;
 use nfv_ml::sampling::oversample_indices;
 use nfv_nn::checkpoint::{Checkpoint, CheckpointError};
 use nfv_nn::{
-    Adam, GruLayer, LstmLayer, RecurrentCell, RecurrentModel, RecurrentScratch, SeqView,
+    Adam, GruLayer, InferScratch, LstmLayer, RecurrentCell, RecurrentModel, SeqView,
     SequenceModelConfig, Trainer, TrainerConfig,
 };
 use nfv_syslog::stream::WindowSet;
@@ -37,6 +37,16 @@ use nfv_tensor::act;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The inference buffers and chunk indices of every scoring call on
+    /// this thread, whatever the detector, cell or model shape: they grow
+    /// to the largest chunk the thread has scored and are reused after.
+    /// A scratch per detector would keep one such high-water set alive
+    /// per group model, which a fleet pays for in resident memory.
+    static SCORE_SCRATCH: RefCell<(InferScratch, Vec<usize>)> = RefCell::default();
+}
 
 /// Hyper-parameters of [`SeqDetector`], shared by every cell.
 #[derive(Debug, Clone)]
@@ -239,8 +249,9 @@ impl<C: RecurrentCell> SeqDetector<C> {
     ///
     /// Chunk boundaries are fixed and each output row depends only on its
     /// own window (the forward math is row-independent), so the result is
-    /// bit-identical to a serial pass for any thread count. Each worker
-    /// owns one scratch arena, reused across its chunks.
+    /// bit-identical to a serial pass for any thread count. Each worker,
+    /// and the calling thread, runs its chunks through its thread's
+    /// scoring scratch.
     fn predict_map<R: Send>(
         &self,
         ws: &WindowSet,
@@ -263,18 +274,20 @@ impl<C: RecurrentCell> SeqDetector<C> {
         let view = SeqView { ids: &ws.ids, gaps: &ws.gaps, targets: &[] };
         let starts: Vec<usize> = (0..ws.len()).step_by(CHUNK).collect();
         par::par_blocks(&starts, threads, |_, block| {
-            let mut scratch = RecurrentScratch::default();
-            let mut chunk = Vec::with_capacity(CHUNK);
-            let mut out = Vec::new();
-            for &start in block {
-                chunk.clear();
-                chunk.extend(start..(start + CHUNK).min(ws.len()));
-                let probs = self.model.predict_probs_view(&view, &chunk, &mut scratch);
-                for (row, &global_idx) in chunk.iter().enumerate() {
-                    out.push(f(global_idx, ws.targets[global_idx], probs.row(row)));
+            // Nothing below scores again on this thread (nested pool
+            // regions run GEMM panels only), so the borrow cannot clash.
+            SCORE_SCRATCH.with_borrow_mut(|(scratch, chunk)| {
+                let mut out = Vec::new();
+                for &start in block {
+                    chunk.clear();
+                    chunk.extend(start..(start + CHUNK).min(ws.len()));
+                    let probs = self.model.predict_probs_view(&view, chunk, scratch);
+                    for (row, &global_idx) in chunk.iter().enumerate() {
+                        out.push(f(global_idx, ws.targets[global_idx], probs.row(row)));
+                    }
                 }
-            }
-            out
+                out
+            })
         })
     }
 
@@ -663,6 +676,44 @@ mod tests {
         let bigger = SeqDetector::<C>::new(SeqDetectorConfig { vocab: 16, ..tiny_cfg() });
         let st = bigger.to_state();
         assert!(det.load_state(&st).is_err(), "vocab mismatch must be rejected");
+    }
+
+    /// One scoring scratch per thread serves every detector: scoring an
+    /// LSTM, then a GRU of other widths, depth and window, then the LSTM
+    /// again on one thread gives what a fresh thread gives, and so do the
+    /// pool workers behind `score_batch`.
+    #[test]
+    fn per_thread_scratch_is_reused_across_cells_and_shapes() {
+        let lstm = LstmDetector::new(tiny_cfg());
+        let gru = GruDetector::new(SeqDetectorConfig {
+            window: 3,
+            embed_dim: 4,
+            hidden: 7,
+            layers: 3,
+            use_gap_feature: false,
+            ..tiny_cfg()
+        });
+        // Up to 1,300 records: several 512-window chunks per stream.
+        let streams: Vec<LogStream> =
+            (0..3).map(|s| training_stream(1300 - 400 * s, 40 + s as u64)).collect();
+        let refs: Vec<&LogStream> = streams.iter().collect();
+        let dets: [&dyn AnomalyDetector; 3] = [&lstm, &gru, &lstm];
+        let score_all = |d: &dyn AnomalyDetector| -> Vec<Vec<ScoredEvent>> {
+            refs.iter().map(|st| d.score(st, 0, u64::MAX)).collect()
+        };
+        let fresh: Vec<Vec<Vec<ScoredEvent>>> = dets
+            .iter()
+            .map(|&d| std::thread::scope(|s| s.spawn(|| score_all(d)).join().unwrap()))
+            .collect();
+        for (d, want) in dets.iter().zip(&fresh) {
+            assert_eq!(&score_all(*d), want, "{} on a reused thread", d.name());
+        }
+        for threads in [1, 2, 4] {
+            for (d, want) in dets.iter().zip(&fresh) {
+                let batched = d.score_batch(&refs, 0, u64::MAX, threads);
+                assert_eq!(&batched, want, "{} score_batch at threads={}", d.name(), threads);
+            }
+        }
     }
 
     fn score_batch_matches_per_stream_at_any_thread_count<C: RecurrentCell>() {

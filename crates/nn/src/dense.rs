@@ -86,17 +86,22 @@ impl Dense {
             self.in_dim()
         );
         cache.x.copy_from(x);
-        x.matmul_into(&self.w, &mut cache.y);
-        cache.y.add_row_broadcast(self.b.row(0));
-        self.activation.apply_inplace(&mut cache.y);
+        self.infer_into(x, &mut cache.y);
     }
 
     /// Inference-only forward pass (no cache).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_broadcast(self.b.row(0));
-        self.activation.apply_inplace(&mut y);
+        let mut y = Matrix::default();
+        self.infer_into(x, &mut y);
         y
+    }
+
+    /// Allocation-free inference forward pass: writes the activated
+    /// output into `y` and records nothing for a backward pass.
+    pub fn infer_into(&self, x: &Matrix, y: &mut Matrix) {
+        x.matmul_into(&self.w, y);
+        y.add_row_broadcast(self.b.row(0));
+        self.activation.apply_inplace(y);
     }
 
     /// Backward pass: given `d_out = dL/dy`, returns `dL/dx` and the

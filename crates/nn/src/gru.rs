@@ -19,7 +19,7 @@
 //! Three parameter matrices per layer instead of the LSTM's four gates
 //! means ~25% fewer weights at the same hidden width.
 
-use crate::model::RecurrentCell;
+use crate::model::{hidden_product, record_h_prev, RecurrentCell};
 use crate::Trainable;
 use nfv_tensor::{act, xavier_uniform, Matrix, Workspace};
 use rand::Rng;
@@ -47,14 +47,12 @@ struct StepCache {
     hn: Matrix,
 }
 
-/// Cache for a whole sequence, filled by
+/// Cache for a whole sequence, filled by a recording
 /// [`RecurrentCell::forward_seq_into`]. Reusable across training steps:
 /// buffers are reshaped in place rather than reallocated.
 #[derive(Debug, Clone, Default)]
 pub struct GruSeqCache {
     steps: Vec<StepCache>,
-    /// Scratch for `h_prev * Wh` (`B x 3H`).
-    zh: Matrix,
 }
 
 impl GruSeqCache {
@@ -68,7 +66,6 @@ impl GruSeqCache {
             step.gates.reset(batch, 3 * hidden);
             step.hn.reset(batch, hidden);
         }
-        self.zh.reset(batch, 3 * hidden);
     }
 }
 
@@ -98,36 +95,44 @@ impl RecurrentCell for GruLayer {
         &self,
         xs: &[Matrix],
         outs: &mut Vec<Matrix>,
-        cache: &mut GruSeqCache,
+        mut cache: Option<&mut GruSeqCache>,
         ws: &mut Workspace,
     ) {
         assert!(!xs.is_empty(), "forward_seq: empty sequence");
         let batch = xs[0].rows();
         let hd = self.hidden;
         ws.ensure_seq(outs, xs.len(), batch, hd);
-        cache.ensure(xs.len(), batch, self.input_dim(), hd);
-        let GruSeqCache { steps, zh } = cache;
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.ensure(xs.len(), batch, self.input_dim(), hd);
+        }
+        // `h_prev * Wh`; without a cache, one gate buffer serves every
+        // step.
+        let mut zh = ws.take(batch, 3 * hd);
+        let mut gate_buf = cache.is_none().then(|| ws.take(batch, 3 * hd));
+        let wh_finite = !self.wh.has_non_finite();
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), self.input_dim(), "GruLayer: input width mismatch");
             assert_eq!(x.rows(), batch, "GruLayer: ragged batch");
             let (done, rest) = outs.split_at_mut(t);
             let out = &mut rest[0];
-            let StepCache { x: sx, h_prev, gates, hn } = &mut steps[t];
-            sx.copy_from(x);
-            if t == 0 {
-                h_prev.fill_zero();
-            } else {
-                h_prev.copy_from(&done[t - 1]);
-            }
+            let (gates, mut hn) = match cache.as_deref_mut() {
+                Some(cache) => {
+                    let StepCache { x: sx, h_prev, gates, hn } = &mut cache.steps[t];
+                    sx.copy_from(x);
+                    record_h_prev(h_prev, done);
+                    (gates, Some(hn))
+                }
+                None => (gate_buf.as_mut().expect("unrecorded step buffer"), None),
+            };
 
             // gates starts as zx = x Wx + b; zh = h_prev Wh stays separate
             // because the reset gate multiplies only its candidate third.
             x.matmul_into(&self.wx, gates);
             gates.add_row_broadcast(self.b.row(0));
-            h_prev.matmul_into(&self.wh, zh);
+            hidden_product(done, &self.wh, wh_finite, &mut zh, ws);
 
             // Activate in place, the whole batch per kernel call: [r z]
-            // from zx + zh, then n from zx_n + r * zh_n, caching the raw
+            // from zx + zh, then n from zx_n + r * zh_n, recording the raw
             // zh_n in hn.
             for r in 0..batch {
                 for (g, &z) in gates.row_mut(r)[..2 * hd].iter_mut().zip(&zh.row(r)[..2 * hd]) {
@@ -138,21 +143,30 @@ impl RecurrentCell for GruLayer {
             gates.apply_cols(act::sigmoid_inplace, &[r_z]);
             for r in 0..batch {
                 let row = gates.row_mut(r);
-                let zh_row = zh.row(r);
+                let zh_n = &zh.row(r)[2 * hd..];
                 for k in 0..hd {
-                    let hn_v = zh_row[2 * hd + k];
-                    row[2 * hd + k] += row[k] * hn_v;
-                    hn.set(r, k, hn_v);
+                    row[2 * hd + k] += row[k] * zh_n[k];
+                }
+                if let Some(hn) = hn.as_deref_mut() {
+                    hn.row_mut(r).copy_from_slice(zh_n);
                 }
             }
             gates.apply_cols(act::tanh_inplace, &[n_cols]);
+            // h_prev is zero at t = 0; `z * 0` still carries a NaN z.
+            let h_prev = done.last();
             for r in 0..batch {
                 let row = gates.row(r);
+                let h_row = h_prev.map(|h| h.row(r));
                 for k in 0..hd {
                     let (zg, n) = (row[hd + k], row[2 * hd + k]);
-                    out.set(r, k, (1.0 - zg) * n + zg * h_prev.get(r, k));
+                    let hp = h_row.map_or(0.0, |h| h[k]);
+                    out.set(r, k, (1.0 - zg) * n + zg * hp);
                 }
             }
+        }
+        ws.recycle(zh);
+        if let Some(buf) = gate_buf {
+            ws.recycle(buf);
         }
     }
 

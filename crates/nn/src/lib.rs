@@ -10,8 +10,9 @@
 //! * [`embedding::Embedding`] — lookup table for template ids;
 //! * [`model::RecurrentCell`] — the contract a recurrent layer meets to
 //!   be stacked: its BPTT cache, checkpoint tag and detector name,
-//!   construction, allocation-free forward and backward passes, and its
-//!   parameters through [`Trainable`]. Two cells implement it:
+//!   construction, one allocation-free forward pass (recording the BPTT
+//!   cache only when a backward pass follows), the backward pass, and
+//!   its parameters through [`Trainable`]. Two cells implement it:
 //!   [`lstm::LstmLayer`] (the paper's) and [`gru::GruLayer`] (~25% fewer
 //!   weights per layer); a new recurrent family is one more impl;
 //! * [`loss`] — softmax cross-entropy and mean-squared error;
@@ -56,8 +57,8 @@ pub use embedding::Embedding;
 pub use gru::GruLayer;
 pub use lstm::LstmLayer;
 pub use model::{
-    GruScratch, GruSequenceModel, Mlp, MlpScratch, MseRows, RecurrentCell, RecurrentModel,
-    RecurrentScratch, SeqScratch, SeqView, SequenceModel, SequenceModelConfig,
+    GruSequenceModel, InferScratch, Mlp, MlpScratch, MseRows, RecurrentCell, RecurrentModel,
+    RecurrentScratch, SeqView, SequenceModel, SequenceModelConfig,
 };
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{

@@ -16,7 +16,7 @@
 //! The forget-gate bias is initialized to 1.0, the standard trick that
 //! lets gradients flow early in training.
 
-use crate::model::RecurrentCell;
+use crate::model::{hidden_product, record_h_prev, RecurrentCell};
 use crate::Trainable;
 use nfv_tensor::{act, xavier_uniform, Matrix, Workspace};
 use rand::Rng;
@@ -46,16 +46,12 @@ struct StepCache {
     tanh_c: Matrix,
 }
 
-/// Cache for a whole sequence, filled by
+/// Cache for a whole sequence, filled by a recording
 /// [`RecurrentCell::forward_seq_into`]. Reusable across training steps:
 /// buffers are reshaped in place rather than reallocated.
 #[derive(Debug, Clone, Default)]
 pub struct LstmSeqCache {
     steps: Vec<StepCache>,
-    /// Scratch for `h_prev * Wh` (`B x 4H`).
-    zh: Matrix,
-    /// Running cell state (`B x H`).
-    c: Matrix,
 }
 
 impl LstmSeqCache {
@@ -70,8 +66,6 @@ impl LstmSeqCache {
             step.gates.reset(batch, 4 * hidden);
             step.tanh_c.reset(batch, hidden);
         }
-        self.zh.reset(batch, 4 * hidden);
-        self.c.reset(batch, hidden);
     }
 }
 
@@ -106,33 +100,44 @@ impl RecurrentCell for LstmLayer {
         &self,
         xs: &[Matrix],
         outs: &mut Vec<Matrix>,
-        cache: &mut LstmSeqCache,
+        mut cache: Option<&mut LstmSeqCache>,
         ws: &mut Workspace,
     ) {
         assert!(!xs.is_empty(), "forward_seq: empty sequence");
         let batch = xs[0].rows();
         let hd = self.hidden;
         ws.ensure_seq(outs, xs.len(), batch, hd);
-        cache.ensure(xs.len(), batch, self.input_dim(), hd);
-        let LstmSeqCache { steps, zh, c } = cache;
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.ensure(xs.len(), batch, self.input_dim(), hd);
+        }
+        // The running cell state and `h_prev * Wh`; without a cache, one
+        // gate and one `tanh c` buffer serve every step.
+        let mut c = ws.take_zeroed(batch, hd);
+        let mut zh = ws.take(batch, 4 * hd);
+        let mut step_bufs = cache.is_none().then(|| [ws.take(batch, 4 * hd), ws.take(batch, hd)]);
+        let wh_finite = !self.wh.has_non_finite();
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), self.input_dim(), "LstmLayer: input width mismatch");
             assert_eq!(x.rows(), batch, "LstmLayer: ragged batch");
             let (done, rest) = outs.split_at_mut(t);
             let out = &mut rest[0];
-            let StepCache { x: sx, h_prev, c_prev, gates, tanh_c } = &mut steps[t];
-            sx.copy_from(x);
-            if t == 0 {
-                h_prev.fill_zero();
-                c_prev.fill_zero();
-            } else {
-                h_prev.copy_from(&done[t - 1]);
-                c_prev.copy_from(c);
-            }
+            let (gates, tanh_c) = match cache.as_deref_mut() {
+                Some(cache) => {
+                    let StepCache { x: sx, h_prev, c_prev, gates, tanh_c } = &mut cache.steps[t];
+                    sx.copy_from(x);
+                    record_h_prev(h_prev, done);
+                    c_prev.copy_from(&c);
+                    (gates, tanh_c)
+                }
+                None => {
+                    let [gates, tanh_c] = step_bufs.as_mut().expect("unrecorded step buffers");
+                    (gates, tanh_c)
+                }
+            };
 
             x.matmul_into(&self.wx, gates);
-            h_prev.matmul_into(&self.wh, zh);
-            gates.add_assign(zh);
+            hidden_product(done, &self.wh, wh_finite, &mut zh, ws);
+            gates.add_assign(&zh);
             gates.add_row_broadcast(self.b.row(0));
 
             // Activate the gates in place, the whole batch per kernel call:
@@ -143,11 +148,11 @@ impl RecurrentCell for LstmLayer {
 
             for r in 0..batch {
                 let g_row = gates.row(r);
-                for k in 0..hd {
-                    c.set(r, k, g_row[hd + k] * c_prev.get(r, k) + g_row[k] * g_row[2 * hd + k]);
+                for (k, c) in c.row_mut(r).iter_mut().enumerate() {
+                    *c = g_row[hd + k] * *c + g_row[k] * g_row[2 * hd + k];
                 }
             }
-            tanh_c.copy_from(c);
+            tanh_c.copy_from(&c);
             act::tanh_inplace(tanh_c.as_mut_slice());
             for r in 0..batch {
                 let g_row = gates.row(r);
@@ -155,6 +160,9 @@ impl RecurrentCell for LstmLayer {
                     out.set(r, k, g_row[3 * hd + k] * tanh_c.get(r, k));
                 }
             }
+        }
+        for buf in [c, zh].into_iter().chain(step_bufs.into_iter().flatten()) {
+            ws.recycle(buf);
         }
     }
 

@@ -39,13 +39,20 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
 
     /// Allocation-free sequence forward pass from a zero initial state:
     /// `xs[t]` is the `B x I` input at step `t`; writes `h_t` for every
-    /// step into `outs` and fills `cache` for
-    /// [`RecurrentCell::backward_seq_into`].
+    /// step into `outs`.
+    ///
+    /// With a `cache` (a backward pass follows), every step's inputs and
+    /// gates are recorded for [`RecurrentCell::backward_seq_into`].
+    /// Without one, only the running state is kept and each step works
+    /// in buffers drawn from `ws`. Both modes run the same gate loop and
+    /// give the same bits. At `t = 0` the zero `h · Wh` is not computed
+    /// unless `Wh` holds a non-finite value, whose `0 · w` must still
+    /// reach the output.
     fn forward_seq_into(
         &self,
         xs: &[Matrix],
         outs: &mut Vec<Matrix>,
-        cache: &mut Self::Cache,
+        cache: Option<&mut Self::Cache>,
         ws: &mut Workspace,
     );
 
@@ -68,7 +75,7 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
     fn forward_seq(&self, xs: &[Matrix]) -> (Vec<Matrix>, Self::Cache) {
         let mut outs = Vec::new();
         let mut cache = Self::Cache::default();
-        self.forward_seq_into(xs, &mut outs, &mut cache, &mut Workspace::new());
+        self.forward_seq_into(xs, &mut outs, Some(&mut cache), &mut Workspace::new());
         (outs, cache)
     }
 
@@ -81,6 +88,41 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
         let mut dxs = Vec::new();
         self.backward_seq_into(cache, d_hs, &mut dxs, &mut grads, &mut Workspace::new());
         (dxs, grads)
+    }
+}
+
+/// Writes step `t`'s `h_{t-1} Wh` into `zh` for a pass from a zero
+/// initial state, where `done` holds the outputs of steps `0..t`.
+///
+/// At `t = 0` the product is not computed: `h` is zero, so every entry
+/// is `+0` as long as `Wh` is finite, and `zh` is zero-filled. A
+/// non-finite weight makes its `0 · w` NaN, which must reach the output,
+/// so then the product runs on a zero `h` (`wh_finite` is checked once
+/// per pass by the caller).
+pub(crate) fn hidden_product(
+    done: &[Matrix],
+    wh: &Matrix,
+    wh_finite: bool,
+    zh: &mut Matrix,
+    ws: &mut Workspace,
+) {
+    match done.last() {
+        Some(h_prev) => h_prev.matmul_into(wh, zh),
+        None if wh_finite => zh.fill_zero(),
+        None => {
+            let h0 = ws.take_zeroed(zh.rows(), wh.rows());
+            h0.matmul_into(wh, zh);
+            ws.recycle(h0);
+        }
+    }
+}
+
+/// Records the hidden state entering step `t` (zero at `t = 0`) for
+/// back-propagation; `done` holds the outputs of steps `0..t`.
+pub(crate) fn record_h_prev(h_prev: &mut Matrix, done: &[Matrix]) {
+    match done.last() {
+        Some(h) => h_prev.copy_from(h),
+        None => h_prev.fill_zero(),
     }
 }
 
@@ -186,34 +228,40 @@ pub struct SeqView<'a> {
     pub targets: &'a [usize],
 }
 
-/// Reusable forward/backward buffers for [`RecurrentModel`], generic
-/// over the cell's cache type. Shaped on first use and reshaped in
-/// place afterwards, so steady-state training steps allocate nothing.
+/// Reusable buffers of the inference pass, one type for every cell,
+/// width, depth and window length: a scorer keeps one per thread and runs
+/// any [`RecurrentModel`] through it. Shaped on first use and reshaped in
+/// place afterwards, so steady-state inference allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct RecurrentScratch<K> {
+pub struct InferScratch {
     ws: Workspace,
     ids_t: Vec<usize>,
-    targets: Vec<usize>,
     /// Per-step inputs (`B x (embed_dim + gap)`).
     xs: Vec<Matrix>,
     /// Ping-pong hidden-sequence buffers for the recurrent stack.
     seq_a: Vec<Matrix>,
     seq_b: Vec<Matrix>,
+    /// Logits, then probabilities, after inference; `dL/dlogits` during
+    /// training.
+    probs: Matrix,
+}
+
+/// Reusable training buffers for [`RecurrentModel`]: an [`InferScratch`]
+/// plus what back-propagation through time needs, generic over the
+/// cell's cache type. Reshaped in place, so steady-state training steps
+/// allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct RecurrentScratch<K> {
+    fwd: InferScratch,
+    targets: Vec<usize>,
     /// Ping-pong gradient-sequence buffers for BPTT.
     d_a: Vec<Matrix>,
     d_b: Vec<Matrix>,
     caches: Vec<K>,
     head_cache: DenseCache,
-    /// Holds probabilities after inference, `dL/dlogits` during training.
-    probs: Matrix,
     demb_rows: Matrix,
     dtable_tmp: Matrix,
 }
-
-/// Scratch for [`SequenceModel`].
-pub type SeqScratch = RecurrentScratch<crate::lstm::LstmSeqCache>;
-/// Scratch for [`GruSequenceModel`].
-pub type GruScratch = RecurrentScratch<crate::gru::GruSeqCache>;
 
 impl<C: RecurrentCell> RecurrentModel<C> {
     /// Builds a model with freshly initialized parameters.
@@ -283,18 +331,22 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         t_len
     }
 
-    /// Allocation-free forward pass over the selected samples; the logits
-    /// end up in `s.head_cache.output()`.
-    fn forward_scratch(
+    /// Allocation-free forward pass over the selected samples. With
+    /// `record` (a backward pass follows), every layer fills its BPTT
+    /// cache and the head its [`DenseCache`], whose output then holds the
+    /// logits; without it, nothing is recorded and the logits land in
+    /// `s.probs`.
+    fn forward(
         &self,
         view: &SeqView<'_>,
         indices: &[usize],
-        s: &mut RecurrentScratch<C::Cache>,
+        s: &mut InferScratch,
+        record: Option<(&mut Vec<C::Cache>, &mut DenseCache)>,
     ) {
         let t_len = self.check_view(view, indices);
         let b = indices.len();
         let in0 = self.cfg.embed_dim + usize::from(self.cfg.use_gap_feature);
-        let RecurrentScratch { ws, ids_t, xs, seq_a, seq_b, caches, head_cache, .. } = s;
+        let InferScratch { ws, ids_t, xs, seq_a, seq_b, probs } = s;
 
         // Per-step inputs: embed the t-th id of every sample, then fill
         // the gap column when configured.
@@ -311,27 +363,32 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         }
 
         let n = self.cells.len();
-        if caches.len() != n {
+        let (mut caches, head_cache) = record.unzip();
+        if let Some(caches) = caches.as_deref_mut() {
             caches.truncate(n);
             caches.resize_with(n, C::Cache::default);
         }
         // Ping-pong the hidden sequences through the stack: xs -> a -> b
         // -> a -> ...
         for (l, cell) in self.cells.iter().enumerate() {
+            let cache = caches.as_deref_mut().map(|c| &mut c[l]);
             if l == 0 {
-                cell.forward_seq_into(xs, seq_a, &mut caches[0], ws);
+                cell.forward_seq_into(xs, seq_a, cache, ws);
             } else if l % 2 == 1 {
-                cell.forward_seq_into(seq_a, seq_b, &mut caches[l], ws);
+                cell.forward_seq_into(seq_a, seq_b, cache, ws);
             } else {
-                cell.forward_seq_into(seq_b, seq_a, &mut caches[l], ws);
+                cell.forward_seq_into(seq_b, seq_a, cache, ws);
             }
         }
         let top = if n % 2 == 1 { seq_a } else { seq_b };
         let last_h = top.last().expect("non-empty sequence");
-        self.head.forward_into(last_h, head_cache);
+        match head_cache {
+            Some(head_cache) => self.head.forward_into(last_h, head_cache),
+            None => self.head.infer_into(last_h, probs),
+        }
     }
 
-    /// Allocation-free backward pass. Expects `s.probs` to hold
+    /// Allocation-free backward pass. Expects `s.fwd.probs` to hold
     /// `dL/dlogits` and accumulates parameter gradients into `grads`.
     fn backward_scratch(
         &self,
@@ -344,18 +401,8 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         let b = indices.len();
         let n = self.cells.len();
         let slots = grads.slots_mut();
-        let RecurrentScratch {
-            ws,
-            ids_t,
-            d_a,
-            d_b,
-            caches,
-            head_cache,
-            probs,
-            demb_rows,
-            dtable_tmp,
-            ..
-        } = s;
+        let RecurrentScratch { fwd, d_a, d_b, caches, head_cache, demb_rows, dtable_tmp, .. } = s;
+        let InferScratch { ws, ids_t, probs, .. } = fwd;
 
         // Head backward; only the last step feeds the loss, so every
         // other step's incoming gradient is zero.
@@ -414,7 +461,7 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         grads: &mut GradientSet,
         total: usize,
     ) -> f32 {
-        self.forward_scratch(view, indices, s);
+        self.forward(view, indices, &mut s.fwd, Some((&mut s.caches, &mut s.head_cache)));
         s.targets.clear();
         for &i in indices {
             s.targets.push(view.targets[i]);
@@ -422,7 +469,7 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         let loss_sum = loss::softmax_cross_entropy_scaled_into(
             s.head_cache.output(),
             &s.targets,
-            &mut s.probs,
+            &mut s.fwd.probs,
             total,
         );
         self.backward_scratch(view, indices, s, grads);
@@ -430,16 +477,16 @@ impl<C: RecurrentCell> RecurrentModel<C> {
     }
 
     /// Probability distribution over the next template for each selected
-    /// window (`indices.len() x vocab`), written into `scratch` and
-    /// returned by reference — zero allocation in steady state.
+    /// window (`indices.len() x vocab`) by the inference pass, written
+    /// into `scratch` and returned by reference — zero allocation in
+    /// steady state.
     pub fn predict_probs_view<'s>(
         &self,
         view: &SeqView<'_>,
         indices: &[usize],
-        scratch: &'s mut RecurrentScratch<C::Cache>,
+        scratch: &'s mut InferScratch,
     ) -> &'s Matrix {
-        self.forward_scratch(view, indices, scratch);
-        scratch.probs.copy_from(scratch.head_cache.output());
+        self.forward(view, indices, scratch, None);
         scratch.probs.softmax_rows_inplace();
         &scratch.probs
     }
@@ -447,19 +494,18 @@ impl<C: RecurrentCell> RecurrentModel<C> {
     /// Probability distribution over the next template for each window
     /// (`B x vocab`).
     pub fn predict_probs(&self, batch: &SeqBatch) -> Matrix {
-        let mut scratch = RecurrentScratch::default();
         let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets: &[] };
         let indices: Vec<usize> = (0..batch.len()).collect();
-        self.predict_probs_view(&view, &indices, &mut scratch).clone()
+        self.predict_probs_view(&view, &indices, &mut InferScratch::default()).clone()
     }
 
     /// Mean cross-entropy of the batch without updating any weights.
     pub fn evaluate_loss(&self, batch: &SeqBatch, targets: &[usize]) -> f32 {
-        let mut scratch = RecurrentScratch::default();
+        let mut scratch = InferScratch::default();
         let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets };
         let indices: Vec<usize> = (0..batch.len()).collect();
-        self.forward_scratch(&view, &indices, &mut scratch);
-        loss::softmax_cross_entropy(scratch.head_cache.output(), targets).0
+        self.forward(&view, &indices, &mut scratch, None);
+        loss::softmax_cross_entropy(&scratch.probs, targets).0
     }
 
     /// One optimizer step on a mini-batch; returns the pre-update loss.
@@ -912,9 +958,136 @@ mod tests {
         probs_rows_are_distributions,
         frozen_bottom_components_do_not_move,
         checkpoint_roundtrip_preserves_predictions,
+        non_finite_wh_reaches_every_probability_row,
         #[should_panic(expected = "ragged windows")]
         ragged_batch_is_rejected,
     );
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Softmax of the recording pass's logits: what training computes
+    /// before its backward pass.
+    fn recorded_probs<C: RecurrentCell>(
+        model: &RecurrentModel<C>,
+        view: &SeqView<'_>,
+        indices: &[usize],
+    ) -> Vec<u32> {
+        let mut s = RecurrentScratch::<C::Cache>::default();
+        model.forward(view, indices, &mut s.fwd, Some((&mut s.caches, &mut s.head_cache)));
+        let mut probs = s.head_cache.output().clone();
+        probs.softmax_rows_inplace();
+        bits(&probs)
+    }
+
+    /// A random model of `layers` cells scores `batch` windows of length
+    /// `window`, drawn with repeats from a small pool. The inference pass
+    /// runs on a scratch that first ran a model of another width, depth
+    /// and window over a larger batch, and must give the recording
+    /// pass's probabilities bit for bit.
+    fn inference_equals_recording<C: RecurrentCell>(
+        layers: usize,
+        window: usize,
+        batch: usize,
+        gap: bool,
+        seed: u64,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cfg = SequenceModelConfig {
+            vocab: rng.gen_range(2..12),
+            embed_dim: rng.gen_range(1..7),
+            hidden: rng.gen_range(1..10),
+            layers,
+            use_gap_feature: gap,
+        };
+        let (pool, vocab) = (batch / 2 + 1, cfg.vocab);
+        let windows = |w: usize, rng: &mut SmallRng| -> (Vec<Vec<usize>>, Vec<Vec<f32>>) {
+            let ids = (0..pool + 9).map(|_| (0..w).map(|_| rng.gen_range(0..vocab)).collect());
+            let ids = ids.collect();
+            let gaps = (0..pool + 9).map(|_| (0..w).map(|_| rng.gen_range(0.0..1.0)).collect());
+            (ids, gaps.collect())
+        };
+
+        let other_cfg = SequenceModelConfig {
+            hidden: cfg.hidden + 3,
+            layers: 4 - layers,
+            use_gap_feature: !gap,
+            ..cfg.clone()
+        };
+        let other = RecurrentModel::<C>::new(other_cfg, &mut rng);
+        let (o_ids, o_gaps) = windows(window % 7 + 1, &mut rng);
+        let o_view = SeqView { ids: &o_ids, gaps: &o_gaps, targets: &[] };
+        let mut scratch = InferScratch::default();
+        other.predict_probs_view(&o_view, &(0..pool + 9).collect::<Vec<_>>(), &mut scratch);
+
+        let model = RecurrentModel::<C>::new(cfg, &mut rng);
+        let (ids, gaps) = windows(window, &mut rng);
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &[] };
+        let indices: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..pool)).collect();
+        let got = bits(model.predict_probs_view(&view, &indices, &mut scratch));
+        assert_eq!(got, recorded_probs(&model, &view, &indices));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn lstm_inference_equals_recording_pass(
+            layers in 1usize..=3,
+            window in 1usize..=7,
+            batch in 1usize..=70,
+            gap in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            inference_equals_recording::<crate::LstmLayer>(layers, window, batch, gap == 1, seed);
+        }
+
+        #[test]
+        fn gru_inference_equals_recording_pass(
+            layers in 1usize..=3,
+            window in 1usize..=7,
+            batch in 1usize..=70,
+            gap in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            inference_equals_recording::<crate::GruLayer>(layers, window, batch, gap == 1, seed);
+        }
+    }
+
+    /// Skipping the zero `h · Wh` at t = 0 must not hide a non-finite
+    /// `Wh`: a NaN in any layer's `Wh` makes every probability row
+    /// non-finite, also for windows of one and two steps, and the
+    /// inference pass still equals the recording pass.
+    fn non_finite_wh_reaches_every_probability_row<C: RecurrentCell>() {
+        let cfg = SequenceModelConfig {
+            vocab: 6,
+            embed_dim: 4,
+            hidden: 5,
+            layers: 3,
+            use_gap_feature: true,
+        };
+        for layer in 0..cfg.layers {
+            let mut model = RecurrentModel::<C>::new(cfg.clone(), &mut SmallRng::seed_from_u64(3));
+            // Parameters: the embedding, then [Wx, Wh, b] per layer.
+            model.params_mut()[1 + CELL_PARAMS * layer + 1].set(2, 3, f32::NAN);
+            for window in [1, 2] {
+                let ids: Vec<Vec<usize>> = (0..4).map(|b| vec![b; window]).collect();
+                let gaps = vec![vec![0.5; window]; 4];
+                let view = SeqView { ids: &ids, gaps: &gaps, targets: &[] };
+                let indices = [0, 1, 2, 3, 1];
+                let mut scratch = InferScratch::default();
+                let probs = model.predict_probs_view(&view, &indices, &mut scratch);
+                for r in 0..probs.rows() {
+                    assert!(
+                        probs.row(r).iter().all(|p| !p.is_finite()),
+                        "layer {layer}, window {window}: row {r} has a finite probability"
+                    );
+                }
+                assert_eq!(bits(probs), recorded_probs(&model, &view, &indices));
+            }
+        }
+    }
 
     /// Loss = 0.5 * sum over all steps of ||h_t||^2, so dL/dh_t = h_t.
     fn seq_loss<C: RecurrentCell>(layer: &C, xs: &[Matrix]) -> f32 {

@@ -166,23 +166,26 @@ impl LogStream {
     ) -> WindowSet {
         assert!(k >= 1, "windows_in: window length must be >= 1");
         let mut out = WindowSet::default();
-        if self.records.len() <= k {
+        // Records are time-sorted, so the targets in [start, end) are one
+        // contiguous run, and their windows lie in records[lo - k..hi - 1].
+        let lo = self.records.partition_point(|r| r.time < start).max(k);
+        let hi = self.records.partition_point(|r| r.time < end);
+        if lo >= hi {
             return out;
         }
-        for t in k..self.records.len() {
+        // Each record's gap to its predecessor (0 for the stream's first
+        // record), computed once for the k windows that hold it.
+        let first = lo - k;
+        let gaps: Vec<f32> = (first..hi - 1)
+            .map(|i| gap_feature(self.records[i].time - self.records[i.saturating_sub(1)].time))
+            .collect();
+        for t in lo..hi {
             let target = &self.records[t];
-            if target.time < start || target.time >= end || !filter(target) {
+            if !filter(target) {
                 continue;
             }
-            let window = &self.records[t - k..t];
-            out.ids.push(window.iter().map(|r| r.template).collect());
-            let mut gaps = Vec::with_capacity(k);
-            for (j, r) in window.iter().enumerate() {
-                let prev_time =
-                    if t - k + j == 0 { r.time } else { self.records[t - k + j - 1].time };
-                gaps.push(gap_feature(r.time - prev_time));
-            }
-            out.gaps.push(gaps);
+            out.ids.push(self.records[t - k..t].iter().map(|r| r.template).collect());
+            out.gaps.push(gaps[t - k - first..t - first].to_vec());
             out.targets.push(target.template);
             out.times.push(target.time);
         }
@@ -284,6 +287,36 @@ mod tests {
         // The target=0 window at time 90 is dropped.
         assert_eq!(ws.len(), 2);
         assert!(ws.targets.iter().all(|&t| t != 0));
+    }
+
+    #[test]
+    fn time_bounded_windows_equal_the_bounded_share_of_all_windows() {
+        let s = stream();
+        for k in 1..=3 {
+            let all = s.windows(k);
+            for (start, end) in
+                [(0, u64::MAX), (0, 35), (20, 50), (35, 90), (36, 91), (50, 51), (90, 10), (91, 99)]
+            {
+                let keep: Vec<usize> =
+                    (0..all.len()).filter(|&i| (start..end).contains(&all.times[i])).collect();
+                let want = all.gather(&keep);
+                let got = s.windows_in(k, start, end, |_| true);
+                let case = format!("k {k}, [{start}, {end})");
+                assert_eq!(got.ids, want.ids, "{case}");
+                assert_eq!(got.gaps, want.gaps, "{case}");
+                assert_eq!(got.targets, want.targets, "{case}");
+                assert_eq!(got.times, want.times, "{case}");
+            }
+            // A filter sees exactly the in-range targets, in order.
+            let mut seen = Vec::new();
+            s.windows_in(k, 20, 60, |r| {
+                seen.push(r.time);
+                true
+            });
+            let want: Vec<u64> =
+                all.times.iter().copied().filter(|t| (20..60).contains(t)).collect();
+            assert_eq!(seen, want, "k {k}: filter calls");
+        }
     }
 
     #[test]

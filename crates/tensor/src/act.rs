@@ -33,9 +33,17 @@
 //! `sigmoid`, `2^-55 <= |x| < 22` for `tanh`. Any other lane — NaN,
 //! infinities, overflow and underflow, the tiny and saturated ends of
 //! `tanh` — is recomputed by the scalar reference, so every output equals
-//! the scalar reference's bit for bit. Without AVX2+FMA the scalar
-//! reference runs for every element, and its `mul_add` becomes a libm
-//! `fma` call: correct, but slower.
+//! the scalar reference's bit for bit. On a CPU without AVX2 or FMA the
+//! slice kernels loop over the scalar functions.
+//!
+//! ## FMA dispatch of the scalar functions
+//!
+//! [`exp`], [`sigmoid`], [`tanh`] and [`ln`] share one runtime check:
+//! when the CPU has FMA they run their reference code compiled with the
+//! `fma` target feature, so each `mul_add` is one instruction; otherwise
+//! they run the portable build of the same code, whose `mul_add` is a
+//! call into the software `fma`. A fused multiply-add is correctly
+//! rounded either way, so both builds give the same bits.
 //!
 //! [`Matrix::apply_cols`](crate::Matrix::apply_cols) feeds column
 //! segments of a whole batch through one kernel call, so an LSTM or GRU
@@ -133,6 +141,11 @@ const Q5: f32 = f32::from_bits(0xb457_edbb);
 /// `e^x` (glibc `expf`).
 #[inline]
 pub fn exp(x: f32) -> f32 {
+    dispatch::<EXP>(x)
+}
+
+#[inline(always)]
+fn exp_ref(x: f32) -> f32 {
     // |x| >= 88, or NaN.
     if x.to_bits() & 0x7fff_ffff >= 0x42b0_0000 {
         return exp_special(x);
@@ -142,7 +155,8 @@ pub fn exp(x: f32) -> f32 {
 
 /// `exp` outside `|x| < 88`: glibc's special cases, then the ordinary
 /// path for the finite inputs that neither overflow nor underflow.
-#[cold]
+/// Inlined, so the FMA build covers it too.
+#[inline(always)]
 fn exp_special(x: f32) -> f32 {
     if x == f32::NEG_INFINITY {
         0.0
@@ -180,10 +194,15 @@ fn exp_core(x: f32) -> f32 {
 /// Logistic sigmoid, `1/(1+e^-x)`, evaluated so that no `exp` overflows.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
+    dispatch::<SIGMOID>(x)
+}
+
+#[inline(always)]
+fn sigmoid_ref(x: f32) -> f32 {
     if x >= 0.0 {
-        1.0 / (1.0 + exp(-x))
+        1.0 / (1.0 + exp_ref(-x))
     } else {
-        let e = exp(x);
+        let e = exp_ref(x);
         e / (1.0 + e)
     }
 }
@@ -191,6 +210,11 @@ pub fn sigmoid(x: f32) -> f32 {
 /// Hyperbolic tangent (fdlibm `tanhf`).
 #[inline]
 pub fn tanh(x: f32) -> f32 {
+    dispatch::<TANH>(x)
+}
+
+#[inline(always)]
+fn tanh_ref(x: f32) -> f32 {
     let jx = x.to_bits();
     let ix = jx & 0x7fff_ffff;
     if ix >= 0x7f80_0000 {
@@ -279,6 +303,11 @@ fn expm1(x: f32) -> f32 {
 /// Natural logarithm (glibc `logf`).
 #[inline]
 pub fn ln(x: f32) -> f32 {
+    dispatch::<LN>(x)
+}
+
+#[inline(always)]
+fn ln_ref(x: f32) -> f32 {
     let mut ix = x.to_bits();
     if ix == 0x3f80_0000 {
         return 0.0;
@@ -317,6 +346,7 @@ pub fn ln(x: f32) -> f32 {
 const EXP: u8 = 0;
 const SIGMOID: u8 = 1;
 const TANH: u8 = 2;
+const LN: u8 = 3;
 
 /// `e^x` in place; bit-identical to [`exp`] on every element.
 pub fn exp_inplace(xs: &mut [f32]) {
@@ -333,13 +363,38 @@ pub fn tanh_inplace(xs: &mut [f32]) {
     map::<TANH>(xs);
 }
 
+/// The reference code of function `F`, inlined into its caller's build.
 #[inline(always)]
 fn scalar<const F: u8>(x: f32) -> f32 {
     match F {
-        EXP => exp(x),
-        SIGMOID => sigmoid(x),
-        _ => tanh(x),
+        EXP => exp_ref(x),
+        SIGMOID => sigmoid_ref(x),
+        TANH => tanh_ref(x),
+        _ => ln_ref(x),
     }
+}
+
+/// [`scalar`] in its FMA build when the CPU has FMA, else in the
+/// portable one.
+#[inline(always)]
+fn dispatch<const F: u8>(x: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: FMA support was just verified at runtime.
+        return unsafe { fused::<F>(x) };
+    }
+    scalar::<F>(x)
+}
+
+/// [`scalar`] compiled with FMA enabled, so its `mul_add`s are single
+/// instructions.
+///
+/// # Safety
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn fused<const F: u8>(x: f32) -> f32 {
+    scalar::<F>(x)
 }
 
 fn map<const F: u8>(xs: &mut [f32]) {
@@ -350,7 +405,7 @@ fn map<const F: u8>(xs: &mut [f32]) {
         return;
     }
     for x in xs {
-        *x = scalar::<F>(*x);
+        *x = dispatch::<F>(*x);
     }
 }
 
@@ -556,5 +611,25 @@ mod lanes {
     #[target_feature(enable = "avx2,fma")]
     unsafe fn lanes_eq(k: __m256i, v: i32) -> __m256 {
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(v)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The dispatched scalar functions (the FMA build on an FMA host)
+    /// equal the portable build of the same code, here inlined into a
+    /// function compiled without FMA, on a spread of bit patterns that
+    /// covers every sign and exponent.
+    #[test]
+    fn dispatched_scalars_equal_the_portable_build() {
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let x = f32::from_bits(bits);
+            assert_eq!(exp(x).to_bits(), scalar::<EXP>(x).to_bits(), "exp({x:e})");
+            assert_eq!(sigmoid(x).to_bits(), scalar::<SIGMOID>(x).to_bits(), "sigmoid({x:e})");
+            assert_eq!(tanh(x).to_bits(), scalar::<TANH>(x).to_bits(), "tanh({x:e})");
+            assert_eq!(ln(x).to_bits(), scalar::<LN>(x).to_bits(), "ln({x:e})");
+        }
     }
 }
