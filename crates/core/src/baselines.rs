@@ -123,7 +123,7 @@ impl AutoencoderDetector {
         let mut trainer = Trainer::new(cfg, Adam::new(lr, &shapes), &shapes);
         // The autoencoder reconstructs its own input.
         let data = MseRows { x: features, target: features };
-        if let Err(e) = trainer.fit_sharded(&mut self.mlp, &data, features.len(), &mut self.rng) {
+        if let Err(e) = trainer.fit(&mut self.mlp, &data, features.len(), &mut self.rng) {
             eprintln!("autoencoder training aborted: {}", e);
         }
     }

@@ -220,9 +220,8 @@ impl<C: RecurrentCell> SeqDetector<C> {
     /// Trains on the selected windows of `ws` through the shared
     /// [`Trainer`] loop: a fresh Adam instance per call (matching the
     /// paper's per-phase optimizer state), the configured batch size, and
-    /// the detector's own RNG for shuffling. Batches run on the trainer's
-    /// deterministic data-parallel path — the shard layout is fixed, so
-    /// the thread count never changes the resulting weights.
+    /// the detector's own RNG for shuffling. The trainer's shard layout
+    /// is fixed, so the thread count never changes the resulting weights.
     fn train_on_indices(&mut self, ws: &WindowSet, indices: &[usize], epochs: usize, lr: f32) {
         if indices.is_empty() {
             return;
@@ -236,8 +235,7 @@ impl<C: RecurrentCell> SeqDetector<C> {
         };
         let mut trainer = Trainer::new(cfg, Adam::new(lr, &shapes), &shapes);
         let view = SeqView { ids: &ws.ids, gaps: &ws.gaps, targets: &ws.targets };
-        if let Err(e) = trainer.fit_indices_sharded(&mut self.model, &view, indices, &mut self.rng)
-        {
+        if let Err(e) = trainer.fit_indices(&mut self.model, &view, indices, &mut self.rng) {
             eprintln!("{} training aborted: {}", C::DETECTOR, e);
         }
     }

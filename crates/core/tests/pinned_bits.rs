@@ -5,9 +5,6 @@
 //! never change: they prove that detector states, checkpoints and
 //! bundles written before the stack was unified still load under their
 //! original tags and score to the same bits.
-//!
-//! Under the `fast-gemm` kernel (FMA, deliberately not bit-identical)
-//! the digests cannot match, so only the structural checks run there.
 
 use nfv_detect::detector::AnomalyDetector;
 use nfv_detect::{
@@ -64,9 +61,7 @@ fn fit_digests(det: &mut dyn AnomalyDetector, fresh: &mut dyn AnomalyDetector) -
 }
 
 fn assert_pinned(label: &str, got: u64, want: u64) {
-    if nfv_tensor::gemm::default_backend_bit_exact() {
-        assert_eq!(got, want, "{label}: got {got:#018x}, pinned {want:#018x}");
-    }
+    assert_eq!(got, want, "{label}: got {got:#018x}, pinned {want:#018x}");
 }
 
 #[test]

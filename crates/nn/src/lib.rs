@@ -17,13 +17,13 @@
 //!   weights per layer); a new recurrent family is one more impl;
 //! * [`loss`] — softmax cross-entropy and mean-squared error;
 //! * [`optimizer`] — SGD, momentum and Adam;
-//! * [`trainer`] — the shared training loop ([`trainer::Trainer`]):
-//!   batching, shuffling, clipping, frozen-parameter masking, LR decay
-//!   and loss traces over a persistent [`trainer::GradientSet`]; plus a
-//!   deterministic data-parallel path ([`trainer::ShardedBatchLoss`] /
-//!   [`trainer::ShardPool`]) that splits batches into fixed, index-ordered
-//!   gradient shards and reduces them in shard order, so results are
-//!   bit-identical for any worker count;
+//! * [`trainer`] — the one training loop ([`trainer::Trainer`]) for every
+//!   model that implements [`trainer::ShardedBatchLoss`]: batching,
+//!   shuffling, clipping, frozen-parameter masking and loss traces over a
+//!   persistent [`trainer::GradientSet`]. Each batch splits into fixed,
+//!   index-ordered gradient shards, computed by any number of workers and
+//!   reduced in shard order, so results are bit-identical for any worker
+//!   count; a batch of one shard is the serial case;
 //! * [`model::RecurrentModel`] — the paper's next-template network
 //!   (embedding, stacked cells, dense head), generic over the cell, with
 //!   layer freezing for transfer learning and tagged JSON checkpoints.
@@ -62,8 +62,8 @@ pub use model::{
 };
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{
-    BatchLoss, GradientSet, ShardPool, ShardedBatchLoss, TrainError, Trainer, TrainerConfig,
-    DEFAULT_GRAD_CLIP, DEFAULT_SHARD_ROWS, MAX_SHARDS_PER_BATCH, PAR_MIN_BATCH_ROWS,
+    GradientSet, ShardedBatchLoss, TrainError, Trainer, TrainerConfig, DEFAULT_GRAD_CLIP,
+    DEFAULT_SHARD_ROWS, MAX_SHARDS_PER_BATCH, PAR_MIN_BATCH_ROWS,
 };
 
 /// Anything that exposes its trainable parameters and matching gradient

@@ -8,14 +8,12 @@ use crate::embedding::Embedding;
 use crate::gru::GruLayer;
 use crate::loss;
 use crate::lstm::LstmLayer;
-use crate::optimizer::Optimizer;
-use crate::trainer::{clip_and_apply, BatchLoss, GradientSet, ShardedBatchLoss, DEFAULT_GRAD_CLIP};
+use crate::trainer::{GradientSet, ShardedBatchLoss};
 use crate::Activation;
 use crate::Trainable;
 use nfv_tensor::{Matrix, Workspace};
 use rand::Rng;
 use std::fmt::Debug;
-use std::mem;
 
 /// A recurrent layer [`RecurrentModel`] can stack: the LSTM and the GRU
 /// are two implementations, and a new recurrent family is one more.
@@ -173,7 +171,6 @@ pub struct RecurrentModel<C: RecurrentCell> {
     cells: Vec<C>,
     head: Dense,
     frozen_bottom: usize,
-    scratch: RecurrentScratch<C::Cache>,
 }
 
 /// The paper's next-template network: embedding, stacked LSTM, dense
@@ -181,38 +178,6 @@ pub struct RecurrentModel<C: RecurrentCell> {
 pub type SequenceModel = RecurrentModel<LstmLayer>;
 /// The GRU next-template network (checkpoint tag `gru-sequence-model`).
 pub type GruSequenceModel = RecurrentModel<GruLayer>;
-
-/// One training/inference batch of fixed-length windows.
-///
-/// `ids[b]` is the template-id window for sample `b`; all windows must
-/// share the same length. `gaps[b][t]` is the normalized inter-arrival
-/// gap preceding `ids[b][t]` and is required when the model was built
-/// with `use_gap_feature`.
-#[derive(Debug, Clone, Default)]
-pub struct SeqBatch {
-    /// Template-id windows, one per sample.
-    pub ids: Vec<Vec<usize>>,
-    /// Normalized gap features, parallel to `ids` (may be empty when the
-    /// model does not use the gap feature).
-    pub gaps: Vec<Vec<f32>>,
-}
-
-impl SeqBatch {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when the batch holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Window length (0 for an empty batch).
-    pub fn window(&self) -> usize {
-        self.ids.first().map_or(0, |w| w.len())
-    }
-}
 
 /// A borrowed view of a window dataset: training/inference code selects
 /// samples by index, so batches are index lists instead of gathered
@@ -246,10 +211,10 @@ pub struct InferScratch {
     probs: Matrix,
 }
 
-/// Reusable training buffers for [`RecurrentModel`]: an [`InferScratch`]
-/// plus what back-propagation through time needs, generic over the
-/// cell's cache type. Reshaped in place, so steady-state training steps
-/// allocate nothing.
+/// One training worker's buffers for [`RecurrentModel`]: an
+/// [`InferScratch`] plus what back-propagation through time needs,
+/// generic over the cell's cache type. Reshaped in place, so
+/// steady-state training steps allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RecurrentScratch<K> {
     fwd: InferScratch,
@@ -276,14 +241,7 @@ impl<C: RecurrentCell> RecurrentModel<C> {
             cells.push(C::new(input, cfg.hidden, rng));
         }
         let head = Dense::new(cfg.hidden, cfg.vocab, Activation::Identity, rng);
-        RecurrentModel {
-            cfg,
-            embedding,
-            cells,
-            head,
-            frozen_bottom: 0,
-            scratch: RecurrentScratch::default(),
-        }
+        RecurrentModel { cfg, embedding, cells, head, frozen_bottom: 0 }
     }
 
     /// The model's configuration.
@@ -444,38 +402,6 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         }
     }
 
-    /// Forward + loss + backward for one shard, using caller-provided
-    /// scratch (so `&self` stays shared while the mutable state lives
-    /// with the caller — the model's own moved-out scratch in the serial
-    /// path, a per-worker context in the data-parallel path).
-    ///
-    /// Gradients are normalized by `total` (the whole batch's row count)
-    /// and the returned loss is the shard's unnormalized sum, so
-    /// per-shard results add up to the batched mean exactly as the serial
-    /// path computes it.
-    fn seq_grads_impl(
-        &self,
-        view: &SeqView<'_>,
-        indices: &[usize],
-        s: &mut RecurrentScratch<C::Cache>,
-        grads: &mut GradientSet,
-        total: usize,
-    ) -> f32 {
-        self.forward(view, indices, &mut s.fwd, Some((&mut s.caches, &mut s.head_cache)));
-        s.targets.clear();
-        for &i in indices {
-            s.targets.push(view.targets[i]);
-        }
-        let loss_sum = loss::softmax_cross_entropy_scaled_into(
-            s.head_cache.output(),
-            &s.targets,
-            &mut s.fwd.probs,
-            total,
-        );
-        self.backward_scratch(view, indices, s, grads);
-        loss_sum
-    }
-
     /// Probability distribution over the next template for each selected
     /// window (`indices.len() x vocab`) by the inference pass, written
     /// into `scratch` and returned by reference — zero allocation in
@@ -491,42 +417,23 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         &scratch.probs
     }
 
-    /// Probability distribution over the next template for each window
-    /// (`B x vocab`).
-    pub fn predict_probs(&self, batch: &SeqBatch) -> Matrix {
-        let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets: &[] };
-        let indices: Vec<usize> = (0..batch.len()).collect();
-        self.predict_probs_view(&view, &indices, &mut InferScratch::default()).clone()
+    /// Probability distribution over the next template for every window
+    /// of `view` (`windows x vocab`).
+    pub fn predict_probs(&self, view: &SeqView<'_>) -> Matrix {
+        let indices: Vec<usize> = (0..view.ids.len()).collect();
+        self.predict_probs_view(view, &indices, &mut InferScratch::default()).clone()
     }
 
-    /// Mean cross-entropy of the batch without updating any weights.
-    pub fn evaluate_loss(&self, batch: &SeqBatch, targets: &[usize]) -> f32 {
+    /// Mean cross-entropy of every window of `view` against its target,
+    /// without updating any weights.
+    pub fn evaluate_loss(&self, view: &SeqView<'_>) -> f32 {
         let mut scratch = InferScratch::default();
-        let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets };
-        let indices: Vec<usize> = (0..batch.len()).collect();
-        self.forward(&view, &indices, &mut scratch, None);
-        loss::softmax_cross_entropy(&scratch.probs, targets).0
-    }
-
-    /// One optimizer step on a mini-batch; returns the pre-update loss.
-    ///
-    /// Thin compatibility wrapper over the [`BatchLoss`] path used by
-    /// `Trainer`; the optimizer must have been built for this model's
-    /// parameter layout (see [`RecurrentModel::param_shapes`]).
-    pub fn train_step(
-        &mut self,
-        batch: &SeqBatch,
-        targets: &[usize],
-        optimizer: &mut dyn Optimizer,
-    ) -> f32 {
-        assert_eq!(targets.len(), batch.len(), "train_step: target count mismatch");
-        let mut grads = GradientSet::new(&self.param_shapes());
-        let view = SeqView { ids: &batch.ids, gaps: &batch.gaps, targets };
-        let indices: Vec<usize> = (0..batch.len()).collect();
-        let loss_value = self.batch_gradients(&view, &indices, &mut grads);
-        let frozen = self.frozen_param_count();
-        clip_and_apply(self, &mut grads, frozen, DEFAULT_GRAD_CLIP, optimizer);
-        loss_value
+        let indices: Vec<usize> = (0..view.ids.len()).collect();
+        self.forward(view, &indices, &mut scratch, None);
+        let mut dlogits = Matrix::zeros(0, 0);
+        let rows = indices.len();
+        loss::softmax_cross_entropy_scaled_into(&scratch.probs, view.targets, &mut dlogits, rows)
+            / rows as f32
     }
 
     /// How many leading parameters belong to the frozen bottom components
@@ -627,26 +534,6 @@ impl<C: RecurrentCell> Trainable for RecurrentModel<C> {
     }
 }
 
-impl<'a, C: RecurrentCell> BatchLoss<SeqView<'a>> for RecurrentModel<C> {
-    fn batch_gradients(
-        &mut self,
-        data: &SeqView<'a>,
-        indices: &[usize],
-        grads: &mut GradientSet,
-    ) -> f32 {
-        // Move the scratch out so the forward/backward helpers can borrow
-        // `self` immutably alongside it.
-        let mut s = mem::take(&mut self.scratch);
-        let loss_sum = self.seq_grads_impl(data, indices, &mut s, grads, indices.len());
-        self.scratch = s;
-        loss_sum / indices.len() as f32
-    }
-
-    fn frozen_params(&self) -> usize {
-        self.frozen_param_count()
-    }
-}
-
 impl<'a, C: RecurrentCell> ShardedBatchLoss<SeqView<'a>> for RecurrentModel<C> {
     type Worker = RecurrentScratch<C::Cache>;
 
@@ -655,10 +542,24 @@ impl<'a, C: RecurrentCell> ShardedBatchLoss<SeqView<'a>> for RecurrentModel<C> {
         data: &SeqView<'a>,
         indices: &[usize],
         total: usize,
-        worker: &mut RecurrentScratch<C::Cache>,
+        s: &mut RecurrentScratch<C::Cache>,
         grads: &mut GradientSet,
     ) -> f32 {
-        self.seq_grads_impl(data, indices, worker, grads, total)
+        self.forward(data, indices, &mut s.fwd, Some((&mut s.caches, &mut s.head_cache)));
+        s.targets.clear();
+        s.targets.extend(indices.iter().map(|&i| data.targets[i]));
+        let loss_sum = loss::softmax_cross_entropy_scaled_into(
+            s.head_cache.output(),
+            &s.targets,
+            &mut s.fwd.probs,
+            total,
+        );
+        self.backward_scratch(data, indices, s, grads);
+        loss_sum
+    }
+
+    fn frozen_params(&self) -> usize {
+        self.frozen_param_count()
     }
 }
 
@@ -666,10 +567,9 @@ impl<'a, C: RecurrentCell> ShardedBatchLoss<SeqView<'a>> for RecurrentModel<C> {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    scratch: MlpScratch,
 }
 
-/// Reusable forward/backward buffers for [`Mlp`].
+/// One training worker's forward/backward buffers for [`Mlp`].
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     ws: Workspace,
@@ -708,7 +608,7 @@ impl Mlp {
             let act = if w == widths.len() - 2 { output_activation } else { hidden_activation };
             layers.push(Dense::new(widths[w], widths[w + 1], act, rng));
         }
-        Mlp { layers, scratch: MlpScratch::default() }
+        Mlp { layers }
     }
 
     /// Input width.
@@ -728,57 +628,6 @@ impl Mlp {
             h = layer.infer(&h);
         }
         h
-    }
-
-    /// Forward + MSE loss + backward for the inputs already staged in
-    /// `s.x`/`s.target`, accumulating parameter gradients into `grads`.
-    ///
-    /// Shard-aware: gradients are normalized by `total_rows` (the whole
-    /// batch) and the returned loss is the shard's unnormalized
-    /// squared-error sum (see [`loss::mse_scaled_into`]).
-    fn mse_gradients(&self, s: &mut MlpScratch, grads: &mut GradientSet, total_rows: usize) -> f32 {
-        let n = self.layers.len();
-        let MlpScratch { ws, caches, d_a, d_b, x, target } = s;
-        if caches.len() != n {
-            caches.truncate(n);
-            caches.resize_with(n, DenseCache::default);
-        }
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = caches.split_at_mut(l);
-            let input: &Matrix = if l == 0 { x } else { done[l - 1].output() };
-            layer.forward_into(input, &mut rest[0]);
-        }
-        let loss_value = loss::mse_scaled_into(caches[n - 1].output(), target, d_a, total_rows);
-        let slots = grads.slots_mut();
-        for l in (0..n).rev() {
-            let [dw, db] = &mut slots[2 * l..2 * l + 2] else { unreachable!() };
-            if (n - 1 - l).is_multiple_of(2) {
-                self.layers[l].backward_into(&caches[l], d_a, d_b, dw, db, ws);
-            } else {
-                self.layers[l].backward_into(&caches[l], d_b, d_a, dw, db, ws);
-            }
-        }
-        loss_value
-    }
-
-    /// One MSE training step towards `target`; returns the pre-update loss.
-    ///
-    /// Thin compatibility wrapper over the [`BatchLoss`] path used by
-    /// `Trainer`.
-    pub fn train_step_mse(
-        &mut self,
-        x: &Matrix,
-        target: &Matrix,
-        optimizer: &mut dyn Optimizer,
-    ) -> f32 {
-        let mut grads = GradientSet::new(&Trainable::param_shapes(self));
-        let mut s = mem::take(&mut self.scratch);
-        s.x.copy_from(x);
-        s.target.copy_from(target);
-        let loss_sum = self.mse_gradients(&mut s, &mut grads, x.rows());
-        self.scratch = s;
-        clip_and_apply(self, &mut grads, 0, DEFAULT_GRAD_CLIP, optimizer);
-        loss_sum / (x.rows() * self.out_dim()) as f32
     }
 
     /// Serializes the MLP (widths + activations are implied by the caller;
@@ -843,7 +692,7 @@ impl Mlp {
             };
             layers.push(Dense::new(in_dim, out_dim, act, &mut rng));
         }
-        let mut mlp = Mlp { layers, scratch: MlpScratch::default() };
+        let mut mlp = Mlp { layers };
         restore_params(&mut mlp, ckpt)?;
         Ok(mlp)
     }
@@ -891,44 +740,54 @@ impl Trainable for Mlp {
     }
 }
 
-impl<'a> BatchLoss<MseRows<'a>> for Mlp {
-    fn batch_gradients(
-        &mut self,
-        data: &MseRows<'a>,
-        indices: &[usize],
-        grads: &mut GradientSet,
-    ) -> f32 {
-        let mut s = mem::take(&mut self.scratch);
-        s.x.reset(indices.len(), self.in_dim());
-        s.target.reset(indices.len(), self.out_dim());
-        for (r, &i) in indices.iter().enumerate() {
-            s.x.row_mut(r).copy_from_slice(&data.x[i]);
-            s.target.row_mut(r).copy_from_slice(&data.target[i]);
-        }
-        let loss_sum = self.mse_gradients(&mut s, grads, indices.len());
-        self.scratch = s;
-        loss_sum / (indices.len() * self.out_dim()) as f32
-    }
-}
-
 impl<'a> ShardedBatchLoss<MseRows<'a>> for Mlp {
     type Worker = MlpScratch;
 
+    /// Forward + MSE loss + backward for the shard's rows. Gradients are
+    /// normalized over the whole batch's `total * out_dim` elements and
+    /// the returned loss is the shard's unnormalized squared-error sum
+    /// (see [`loss::mse_scaled_into`]).
     fn shard_gradients(
         &self,
         data: &MseRows<'a>,
         indices: &[usize],
         total: usize,
-        worker: &mut MlpScratch,
+        s: &mut MlpScratch,
         grads: &mut GradientSet,
     ) -> f32 {
-        worker.x.reset(indices.len(), self.in_dim());
-        worker.target.reset(indices.len(), self.out_dim());
+        let n = self.layers.len();
+        let MlpScratch { ws, caches, d_a, d_b, x, target } = s;
+        x.reset(indices.len(), self.in_dim());
+        target.reset(indices.len(), self.out_dim());
         for (r, &i) in indices.iter().enumerate() {
-            worker.x.row_mut(r).copy_from_slice(&data.x[i]);
-            worker.target.row_mut(r).copy_from_slice(&data.target[i]);
+            x.row_mut(r).copy_from_slice(&data.x[i]);
+            target.row_mut(r).copy_from_slice(&data.target[i]);
         }
-        self.mse_gradients(worker, grads, total)
+        if caches.len() != n {
+            caches.truncate(n);
+            caches.resize_with(n, DenseCache::default);
+        }
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = caches.split_at_mut(l);
+            let input: &Matrix = if l == 0 { x } else { done[l - 1].output() };
+            layer.forward_into(input, &mut rest[0]);
+        }
+        let loss_sum = loss::mse_scaled_into(caches[n - 1].output(), target, d_a, total);
+        let slots = grads.slots_mut();
+        for l in (0..n).rev() {
+            let [dw, db] = &mut slots[2 * l..2 * l + 2] else { unreachable!() };
+            if (n - 1 - l).is_multiple_of(2) {
+                self.layers[l].backward_into(&caches[l], d_a, d_b, dw, db, ws);
+            } else {
+                self.layers[l].backward_into(&caches[l], d_b, d_a, dw, db, ws);
+            }
+        }
+        loss_sum
+    }
+
+    /// One squared error per output element.
+    fn loss_terms_per_row(&self) -> usize {
+        self.out_dim()
     }
 }
 
@@ -936,6 +795,7 @@ impl<'a> ShardedBatchLoss<MseRows<'a>> for Mlp {
 mod tests {
     use super::*;
     use crate::optimizer::Adam;
+    use crate::trainer::{Trainer, TrainerConfig};
     use rand::{rngs::SmallRng, SeedableRng};
 
     /// Instantiates generic `fn name<C: RecurrentCell>()` tests once per
@@ -1162,9 +1022,31 @@ mod tests {
         }
     }
 
-    fn toy_batch(window: usize, pattern: &[usize]) -> (SeqBatch, Vec<usize>) {
-        // Sliding windows over a repeating pattern; the next id is always
-        // deterministic, so the model should learn it nearly perfectly.
+    /// Takes `steps` Adam steps on all `n` samples of `data` through the
+    /// trainer, one unshuffled full batch per epoch, and returns the loss
+    /// of every step.
+    fn fit_full_batch<D: ?Sized + Sync, M: ShardedBatchLoss<D>>(
+        model: &mut M,
+        data: &D,
+        n: usize,
+        steps: usize,
+        lr: f32,
+    ) -> Vec<f32> {
+        let shapes = model.param_shapes();
+        let cfg =
+            TrainerConfig { epochs: steps, batch_size: n, shuffle: false, ..Default::default() };
+        let mut trainer = Trainer::new(cfg, Adam::new(lr, &shapes), &shapes);
+        trainer.fit(model, data, n, &mut SmallRng::seed_from_u64(0)).expect("finite losses");
+        trainer.step_losses().to_vec()
+    }
+
+    /// Sliding windows over a repeating pattern, with their targets; the
+    /// next id is always deterministic, so the model should learn it
+    /// nearly perfectly.
+    fn toy_windows(
+        window: usize,
+        pattern: &[usize],
+    ) -> (Vec<Vec<usize>>, Vec<Vec<f32>>, Vec<usize>) {
         let seq: Vec<usize> = pattern.iter().cycle().take(200).copied().collect();
         let mut ids = Vec::new();
         let mut gaps = Vec::new();
@@ -1174,7 +1056,7 @@ mod tests {
             gaps.push(vec![0.5; window]);
             targets.push(seq[start + window]);
         }
-        (SeqBatch { ids, gaps }, targets)
+        (ids, gaps, targets)
     }
 
     fn learns_a_deterministic_cycle<C: RecurrentCell>() {
@@ -1187,14 +1069,12 @@ mod tests {
         };
         let mut rng = SmallRng::seed_from_u64(7);
         let mut model = RecurrentModel::<C>::new(cfg, &mut rng);
-        let (batch, targets) = toy_batch(5, &[0, 1, 2, 3]);
-        let mut opt = Adam::new(0.01, &model.param_shapes());
+        let (ids, gaps, targets) = toy_windows(5, &[0, 1, 2, 3]);
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
 
-        let first_loss = model.evaluate_loss(&batch, &targets);
-        for _ in 0..60 {
-            model.train_step(&batch, &targets, &mut opt);
-        }
-        let final_loss = model.evaluate_loss(&batch, &targets);
+        let first_loss = model.evaluate_loss(&view);
+        fit_full_batch(&mut model, &view, ids.len(), 60, 0.01);
+        let final_loss = model.evaluate_loss(&view);
         assert!(
             final_loss < first_loss * 0.2,
             "loss did not drop: {} -> {}",
@@ -1203,7 +1083,7 @@ mod tests {
         );
 
         // The argmax prediction should now follow the cycle.
-        let probs = model.predict_probs(&batch);
+        let probs = model.predict_probs(&view);
         let preds = probs.argmax_rows();
         let correct = preds.iter().zip(targets.iter()).filter(|(p, t)| p == t).count();
         assert!(
@@ -1217,11 +1097,9 @@ mod tests {
     fn probs_rows_are_distributions<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(3);
         let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
-        let batch = SeqBatch {
-            ids: vec![vec![1, 2, 3], vec![4, 5, 6]],
-            gaps: vec![vec![0.1, 0.2, 0.3], vec![0.0, 0.0, 0.0]],
-        };
-        let probs = model.predict_probs(&batch);
+        let ids = [vec![1, 2, 3], vec![4, 5, 6]];
+        let gaps = [vec![0.1, 0.2, 0.3], vec![0.0, 0.0, 0.0]];
+        let probs = model.predict_probs(&SeqView { ids: &ids, gaps: &gaps, targets: &[] });
         assert_eq!(probs.shape(), (2, 64));
         for r in 0..2 {
             let s: f32 = probs.row(r).iter().sum();
@@ -1242,11 +1120,8 @@ mod tests {
         model.set_frozen_bottom(2); // freeze embedding + first recurrent layer
 
         let before: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
-        let batch = SeqBatch { ids: vec![vec![0, 1, 2, 3]], gaps: vec![] };
-        let mut opt = Adam::new(0.05, &model.param_shapes());
-        for _ in 0..3 {
-            model.train_step(&batch, &[4], &mut opt);
-        }
+        let view = SeqView { ids: &[vec![0, 1, 2, 3]], gaps: &[], targets: &[4] };
+        fit_full_batch(&mut model, &view, 1, 3, 0.05);
         let after: Vec<Vec<f32>> = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
 
         // Embedding (1 param) + layer 0 (3 params) frozen; the rest must move.
@@ -1260,10 +1135,11 @@ mod tests {
     fn checkpoint_roundtrip_preserves_predictions<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(19);
         let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
-        let batch = SeqBatch { ids: vec![vec![7, 8, 9, 10]], gaps: vec![vec![0.1, 0.4, 0.2, 0.9]] };
-        let original = model.predict_probs(&batch);
+        let view =
+            SeqView { ids: &[vec![7, 8, 9, 10]], gaps: &[vec![0.1, 0.4, 0.2, 0.9]], targets: &[] };
+        let original = model.predict_probs(&view);
         let restored = RecurrentModel::<C>::from_checkpoint(&model.to_checkpoint());
-        let roundtrip = restored.predict_probs(&batch);
+        let roundtrip = restored.predict_probs(&view);
         assert_eq!(original.as_slice(), roundtrip.as_slice());
     }
 
@@ -1272,13 +1148,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(23);
         let mut ae = Mlp::new(&[8, 4, 2, 4, 8], Activation::Tanh, Activation::Identity, &mut rng);
         // Data on a 1-D manifold: x = [t, 2t, .., 8t].
-        let x = Matrix::from_fn(16, 8, |r, c| (r as f32 / 16.0) * (c + 1) as f32 * 0.1);
-        let mut opt = Adam::new(0.01, &ae.params().iter().map(|p| p.shape()).collect::<Vec<_>>());
-        let first = ae.train_step_mse(&x, &x, &mut opt);
-        let mut last = first;
-        for _ in 0..200 {
-            last = ae.train_step_mse(&x, &x, &mut opt);
-        }
+        let x: Vec<Vec<f32>> = (0..16)
+            .map(|r| (0..8).map(|c| (r as f32 / 16.0) * (c + 1) as f32 * 0.1).collect())
+            .collect();
+        let losses = fit_full_batch(&mut ae, &MseRows { x: &x, target: &x }, 16, 201, 0.01);
+        let (first, last) = (losses[0], losses[200]);
         assert!(last < first * 0.2, "AE loss did not drop: {} -> {}", first, last);
     }
 
@@ -1294,10 +1168,8 @@ mod tests {
     fn ragged_batch_is_rejected<C: RecurrentCell>() {
         let mut rng = SmallRng::seed_from_u64(1);
         let model = RecurrentModel::<C>::new(SequenceModelConfig::default(), &mut rng);
-        let batch = SeqBatch {
-            ids: vec![vec![1, 2, 3], vec![1, 2]],
-            gaps: vec![vec![0.0; 3], vec![0.0; 2]],
-        };
-        let _ = model.predict_probs(&batch);
+        let ids = [vec![1, 2, 3], vec![1, 2]];
+        let gaps = [vec![0.0; 3], vec![0.0; 2]];
+        let _ = model.predict_probs(&SeqView { ids: &ids, gaps: &gaps, targets: &[] });
     }
 }

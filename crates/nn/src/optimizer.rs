@@ -7,12 +7,6 @@
 
 use nfv_tensor::Matrix;
 
-/// Extracts the shape layout of a parameter list (shared by the
-/// `for_params` convenience constructors).
-pub fn shapes_of(params: &[&Matrix]) -> Vec<(usize, usize)> {
-    params.iter().map(|p| p.shape()).collect()
-}
-
 /// A first-order gradient-descent optimizer.
 pub trait Optimizer {
     /// Applies one update. `params[i]` and `grads[i]` must have identical
@@ -20,12 +14,6 @@ pub trait Optimizer {
     /// A `None` gradient marks a frozen parameter that must be skipped
     /// (transfer-learning fine-tuning freezes bottom layers this way).
     fn step(&mut self, params: &mut [&mut Matrix], grads: &[Option<&Matrix>]);
-
-    /// The configured learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Plain stochastic gradient descent with optional momentum.
@@ -43,11 +31,6 @@ impl Sgd {
         assert!(lr > 0.0, "Sgd: learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "Sgd: momentum must be in [0, 1)");
         Sgd { lr, momentum, velocity: shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect() }
-    }
-
-    /// Convenience constructor taking the parameter list directly.
-    pub fn for_params(lr: f32, momentum: f32, params: &[&Matrix]) -> Self {
-        Sgd::new(lr, momentum, &shapes_of(params))
     }
 }
 
@@ -76,15 +59,6 @@ impl Optimizer for Sgd {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba 2015) with bias correction.
@@ -108,26 +82,16 @@ impl Adam {
     /// Adam with the standard defaults `beta1 = 0.9`, `beta2 = 0.999`,
     /// `eps = 1e-8`.
     pub fn new(lr: f32, shapes: &[(usize, usize)]) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999, shapes)
-    }
-
-    /// Adam with explicit moment coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, shapes: &[(usize, usize)]) -> Self {
         assert!(lr > 0.0, "Adam: learning rate must be positive");
         Adam {
             lr,
-            beta1,
-            beta2,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: vec![0; shapes.len()],
             m: shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect(),
             v: shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect(),
         }
-    }
-
-    /// Convenience constructor taking the parameter list directly.
-    pub fn for_params(lr: f32, params: &[&Matrix]) -> Self {
-        Adam::new(lr, &shapes_of(params))
     }
 
     /// Number of steps applied so far (to the most-updated parameter).
@@ -168,15 +132,6 @@ impl Optimizer for Adam {
                 *pk -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "Adam: learning rate must be positive");
-        self.lr = lr;
     }
 }
 

@@ -1,14 +1,15 @@
 //! The shared training loop: batching, shuffling, gradient clipping,
-//! frozen-parameter masking, LR scheduling, and a loss trace.
+//! frozen-parameter masking, and a loss trace.
 //!
 //! Every model in the workspace trains through one code path. A model
-//! implements [`BatchLoss`] — "given these sample indices, accumulate
-//! batch gradients into this [`GradientSet`] and return the loss" — and
-//! [`Trainer`] owns everything around it: the optimizer, the epoch/batch
-//! loop, deterministic shuffling, clipping, masking of frozen parameters,
-//! and per-step/per-epoch loss traces. This replaces the near-identical
-//! loops that used to live in the LSTM detector, `baselines.rs`, and the
-//! `Mlp` autoencoder path.
+//! implements [`ShardedBatchLoss`] — "given these sample indices,
+//! accumulate their share of the batch gradients into this
+//! [`GradientSet`] and return their loss sum" — and [`Trainer`] owns
+//! everything around it: the optimizer, the epoch/batch loop,
+//! deterministic shuffling, the split of each batch into fixed gradient
+//! shards and their ordered reduction, clipping, masking of frozen
+//! parameters, and per-step/per-epoch loss traces. A batch that fits in
+//! one shard is the serial case of the same step.
 
 use crate::optimizer::Optimizer;
 use crate::Trainable;
@@ -16,14 +17,13 @@ use nfv_tensor::Matrix;
 use rand::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Default gradient-clipping limit (matches the pre-refactor constant
-/// used by `SequenceModel::train_step`).
+/// Per-element gradient clip applied before every optimizer step.
 pub const DEFAULT_GRAD_CLIP: f32 = 5.0;
 
-/// Default rows per gradient shard in the data-parallel path (see
-/// [`Trainer::train_batch_sharded`]). The shard layout is a pure function
-/// of the batch's index order and this width — never of the thread count
-/// — so any worker count produces the same bits.
+/// Default rows per gradient shard (see [`TrainerConfig::shard_rows`]).
+/// The shard layout is a pure function of the batch's index order and
+/// this width — never of the thread count — so any worker count produces
+/// the same bits.
 pub const DEFAULT_SHARD_ROWS: usize = 16;
 
 /// Upper bound on shards per batch used by auto shard sizing
@@ -50,20 +50,16 @@ pub struct TrainerConfig {
     pub epochs: usize,
     /// Mini-batch size (clamped to at least 1).
     pub batch_size: usize,
-    /// Per-element gradient clip applied before each optimizer step.
-    pub grad_clip: f32,
-    /// Multiplicative LR decay applied after each epoch (1.0 = constant).
-    pub lr_decay: f32,
     /// Whether to reshuffle the index order each epoch.
     pub shuffle: bool,
-    /// Worker threads for the sharded data-parallel path (clamped to at
-    /// least 1). The thread count only schedules the fixed shard layout;
-    /// it never changes the math, so 1, 2 and 8 workers produce
+    /// Worker threads that compute a batch's gradient shards (clamped to
+    /// at least 1). The thread count only schedules the fixed shard
+    /// layout; it never changes the math, so 1, 2 and 8 workers produce
     /// bit-identical losses and parameters.
     pub threads: usize,
-    /// Rows per gradient shard in the data-parallel path. Unlike
-    /// `threads`, this *is* part of the trajectory definition: changing
-    /// the shard width changes summation order (and therefore rounding).
+    /// Rows per gradient shard. Unlike `threads`, this *is* part of the
+    /// trajectory definition: changing the shard width changes summation
+    /// order (and therefore rounding).
     ///
     /// `0` = auto: the width is derived from `batch_size` alone (see
     /// [`TrainerConfig::resolved_shard_rows`]), so it stays a pure
@@ -74,7 +70,7 @@ pub struct TrainerConfig {
 }
 
 impl TrainerConfig {
-    /// The shard width the data-parallel path will actually use:
+    /// The shard width the trainer will actually use:
     /// `shard_rows` itself when explicit, otherwise auto-sized from the
     /// batch size (`DEFAULT_SHARD_ROWS.max(batch_size /
     /// MAX_SHARDS_PER_BATCH)`). Deliberately independent of `threads`:
@@ -90,15 +86,7 @@ impl TrainerConfig {
 
 impl Default for TrainerConfig {
     fn default() -> Self {
-        TrainerConfig {
-            epochs: 1,
-            batch_size: 64,
-            grad_clip: DEFAULT_GRAD_CLIP,
-            lr_decay: 1.0,
-            shuffle: true,
-            threads: 1,
-            shard_rows: 0,
-        }
+        TrainerConfig { epochs: 1, batch_size: 64, shuffle: true, threads: 1, shard_rows: 0 }
     }
 }
 
@@ -205,7 +193,7 @@ impl GradientSet {
     }
 
     /// Elementwise-accumulates `other` into `self` (the shard-reduction
-    /// primitive of the data-parallel path).
+    /// primitive of the trainer step).
     pub fn add_from(&mut self, other: &GradientSet) {
         assert_eq!(self.mats.len(), other.mats.len(), "GradientSet: slot count mismatch");
         for (a, b) in self.mats.iter_mut().zip(&other.mats) {
@@ -214,40 +202,25 @@ impl GradientSet {
     }
 }
 
-/// A model that can compute batch gradients for some dataset type `D`.
-///
-/// `batch_gradients` must *accumulate* into `grads` (the trainer zeroes
-/// the set before each batch) and return the mean batch loss.
-pub trait BatchLoss<D: ?Sized>: Trainable {
-    /// Accumulates gradients for the samples at `indices` and returns the
-    /// mean loss over the batch.
-    fn batch_gradients(&mut self, data: &D, indices: &[usize], grads: &mut GradientSet) -> f32;
-
-    /// Number of leading parameters whose gradients are masked out
-    /// (frozen) during optimization. Defaults to none.
-    fn frozen_params(&self) -> usize {
-        0
-    }
-}
-
-/// A [`BatchLoss`] model whose gradient computation can run shard-wise
-/// from a shared `&self`, with every piece of mutable state living in a
-/// caller-provided worker context. This is the contract the deterministic
-/// data-parallel path needs: N workers share the model immutably while
-/// each fills its own context and per-shard [`GradientSet`].
-pub trait ShardedBatchLoss<D: ?Sized + Sync>: BatchLoss<D> + Sync {
+/// A model the [`Trainer`] can fit on a dataset of type `D`: its
+/// gradient computation runs shard-wise from a shared `&self`, with every
+/// piece of mutable state living in a caller-provided worker context, so
+/// N workers can share the model immutably while each fills its own
+/// context and per-shard [`GradientSet`].
+pub trait ShardedBatchLoss<D: ?Sized + Sync>: Trainable + Sync {
     /// Thread-local scratch state (forward/backward caches, workspaces).
     type Worker: Default + Send;
 
-    /// Accumulates gradients for the shard at `indices` into `grads`,
-    /// normalized by `total` (the whole mini-batch's row count), and
-    /// returns the shard's *unnormalized* loss sum.
+    /// Accumulates the gradients of the samples at `indices` (one shard
+    /// of a mini-batch of `total` rows) into `grads`, each scaled as a
+    /// term of the whole batch's mean loss, and returns the shard's
+    /// *unnormalized* loss sum over its `indices.len() *
+    /// loss_terms_per_row()` terms.
     ///
     /// Contract: summing the per-shard gradient sets in ascending shard
-    /// order and dividing the summed losses by `total` must reproduce the
-    /// batched mean gradient and loss. With a single shard
-    /// (`indices.len() == total`) the result must be bit-identical to
-    /// [`BatchLoss::batch_gradients`].
+    /// order reproduces the batch's mean gradient, and summing the
+    /// per-shard losses and dividing once by `total *
+    /// loss_terms_per_row()` reproduces its mean loss.
     fn shard_gradients(
         &self,
         data: &D,
@@ -256,14 +229,28 @@ pub trait ShardedBatchLoss<D: ?Sized + Sync>: BatchLoss<D> + Sync {
         worker: &mut Self::Worker,
         grads: &mut GradientSet,
     ) -> f32;
+
+    /// Loss terms each row contributes to the sum that
+    /// [`ShardedBatchLoss::shard_gradients`] returns: one per row for a
+    /// classification loss (the default), one per output element for an
+    /// element-wise loss such as mean-squared error.
+    fn loss_terms_per_row(&self) -> usize {
+        1
+    }
+
+    /// Number of leading parameters whose gradients are masked out
+    /// (frozen) during optimization. Defaults to none.
+    fn frozen_params(&self) -> usize {
+        0
+    }
 }
 
-/// Per-worker execution state for the data-parallel trainer path: one
-/// scratch context per worker thread plus one gradient accumulator and
-/// loss slot per shard. Shaped lazily on first use and reused across
-/// batches, so steady-state parallel steps allocate nothing.
-#[derive(Debug, Default)]
-pub struct ShardPool<W> {
+/// Per-worker execution state of a [`Trainer`] run: one scratch context
+/// per worker thread plus one gradient accumulator and loss slot per
+/// shard. Shaped lazily on first use and reused across batches, so
+/// steady-state steps allocate nothing.
+#[derive(Debug)]
+struct ShardPool<W> {
     workers: Vec<W>,
     shard_grads: Vec<GradientSet>,
     shard_losses: Vec<f32>,
@@ -271,7 +258,7 @@ pub struct ShardPool<W> {
 
 impl<W: Default> ShardPool<W> {
     /// An empty pool; the trainer shapes it on first use.
-    pub fn new() -> ShardPool<W> {
+    fn new() -> ShardPool<W> {
         ShardPool { workers: Vec::new(), shard_grads: Vec::new(), shard_losses: Vec::new() }
     }
 
@@ -304,21 +291,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Clips `grads`, masks the first `frozen` slots, and applies one
-/// optimizer step to `model`'s parameters.
-pub(crate) fn clip_and_apply<M: Trainable + ?Sized>(
-    model: &mut M,
-    grads: &mut GradientSet,
-    frozen: usize,
-    clip: f32,
-    opt: &mut dyn Optimizer,
-) {
-    grads.clip(clip);
-    let masked = grads.masked_refs(frozen);
-    let mut params = model.params_mut();
-    opt.step(&mut params, &masked);
-}
-
 /// In-place Fisher-Yates shuffle.
 ///
 /// Deliberately identical to `nfv_ml::sampling::shuffle` (same swap
@@ -333,7 +305,7 @@ fn shuffle_indices(items: &mut [usize], rng: &mut impl Rng) {
 }
 
 /// Owns the optimizer and drives the epoch/batch loop for any
-/// [`BatchLoss`] model.
+/// [`ShardedBatchLoss`] model.
 #[derive(Debug)]
 pub struct Trainer<O: Optimizer> {
     cfg: TrainerConfig,
@@ -355,21 +327,6 @@ impl<O: Optimizer> Trainer<O> {
         }
     }
 
-    /// The trainer's configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
-    }
-
-    /// Borrow of the owned optimizer.
-    pub fn optimizer(&self) -> &O {
-        &self.opt
-    }
-
-    /// Mutable borrow of the owned optimizer (e.g. to retune the LR).
-    pub fn optimizer_mut(&mut self) -> &mut O {
-        &mut self.opt
-    }
-
     /// Loss of every completed optimizer step, in order.
     pub fn step_losses(&self) -> &[f32] {
         &self.step_losses
@@ -380,75 +337,6 @@ impl<O: Optimizer> Trainer<O> {
         &self.epoch_losses
     }
 
-    /// Runs one optimizer step on the samples at `indices`.
-    ///
-    /// Returns the batch loss, or [`TrainError::NonFiniteLoss`] *before*
-    /// touching the parameters when the loss is NaN/inf.
-    pub fn train_batch<D: ?Sized, M: BatchLoss<D>>(
-        &mut self,
-        model: &mut M,
-        data: &D,
-        indices: &[usize],
-    ) -> Result<f32, TrainError> {
-        self.grads.zero();
-        let loss = model.batch_gradients(data, indices, &mut self.grads);
-        if !loss.is_finite() {
-            return Err(TrainError::NonFiniteLoss { step: self.step_losses.len(), loss });
-        }
-        let frozen = model.frozen_params();
-        clip_and_apply(model, &mut self.grads, frozen, self.cfg.grad_clip, &mut self.opt);
-        self.step_losses.push(loss);
-        Ok(loss)
-    }
-
-    /// Trains on all samples `0..n`, shuffling each epoch. Returns the
-    /// mean loss of the final epoch.
-    pub fn fit<D: ?Sized, M: BatchLoss<D>>(
-        &mut self,
-        model: &mut M,
-        data: &D,
-        n: usize,
-        rng: &mut impl Rng,
-    ) -> Result<f32, TrainError> {
-        let indices: Vec<usize> = (0..n).collect();
-        self.fit_indices(model, data, &indices, rng)
-    }
-
-    /// Trains on an explicit index set (e.g. an oversampled mix).
-    /// Returns the mean loss of the final epoch.
-    pub fn fit_indices<D: ?Sized, M: BatchLoss<D>>(
-        &mut self,
-        model: &mut M,
-        data: &D,
-        indices: &[usize],
-        rng: &mut impl Rng,
-    ) -> Result<f32, TrainError> {
-        if indices.is_empty() {
-            return Ok(0.0);
-        }
-        let mut order = indices.to_vec();
-        let batch = self.cfg.batch_size.max(1);
-        let mut last_epoch_mean = 0.0;
-        for _epoch in 0..self.cfg.epochs {
-            if self.cfg.shuffle {
-                shuffle_indices(&mut order, rng);
-            }
-            let mut total = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch) {
-                total += self.train_batch(model, data, chunk)? as f64;
-                batches += 1;
-            }
-            last_epoch_mean = (total / batches.max(1) as f64) as f32;
-            self.epoch_losses.push(last_epoch_mean);
-            if self.cfg.lr_decay != 1.0 {
-                let lr = self.opt.learning_rate() * self.cfg.lr_decay;
-                self.opt.set_learning_rate(lr);
-            }
-        }
-        Ok(last_epoch_mean)
-    }
-
     /// Runs one optimizer step with the batch split into fixed,
     /// index-ordered shards of `cfg.shard_rows` rows, computed by up to
     /// `cfg.threads` workers and reduced into the master [`GradientSet`]
@@ -457,11 +345,14 @@ impl<O: Optimizer> Trainer<O> {
     /// The shard layout and the reduction order depend only on `indices`
     /// and `shard_rows` — never on the thread count — so the loss and the
     /// parameter update are bit-identical for every `threads` value. A
-    /// batch that fits in one shard takes the exact serial
-    /// [`Trainer::train_batch`] code path (same bits). A panic inside a
-    /// worker is contained and surfaced as [`TrainError::WorkerPanic`];
-    /// the optimizer step is skipped and the trainer stays usable.
-    pub fn train_batch_sharded<D, M>(
+    /// batch that fits in one shard runs on the calling thread into the
+    /// master set directly.
+    ///
+    /// Returns the batch's mean loss, or an error *before* touching the
+    /// parameters: [`TrainError::NonFiniteLoss`] when the loss is NaN/inf,
+    /// [`TrainError::WorkerPanic`] when a shard of a multi-shard batch
+    /// panicked. The trainer stays usable after either.
+    fn train_batch<D, M>(
         &mut self,
         model: &mut M,
         data: &D,
@@ -476,17 +367,15 @@ impl<O: Optimizer> Trainer<O> {
         let shard_rows = self.cfg.resolved_shard_rows().max(1);
         let n_shards = total.div_ceil(shard_rows).max(1);
         self.grads.zero();
-        let loss = if n_shards == 1 {
+        let loss_sum = if n_shards == 1 {
             pool.ensure(1, 0, &[]);
-            let sum =
-                model.shard_gradients(data, indices, total, &mut pool.workers[0], &mut self.grads);
-            sum / total as f32
+            model.shard_gradients(data, indices, total, &mut pool.workers[0], &mut self.grads)
         } else {
             let shards: Vec<&[usize]> = indices.chunks(shard_rows).collect();
             // Small batches stay on the calling thread: per-step
             // dispatch overhead beats the parallel win below
-            // PAR_MIN_BATCH_ROWS (and the serial path lets the GEMMs
-            // inside the shard use the row-panel fan-out instead).
+            // PAR_MIN_BATCH_ROWS (and running them there lets the GEMMs
+            // inside each shard use the row-panel fan-out instead).
             // Larger batches resolve their worker count through the
             // pool's unified policy (host-core cap, shard-count cap).
             // The shard layout above is already fixed, so both are pure
@@ -568,20 +457,22 @@ impl<O: Optimizer> Trainer<O> {
                 self.grads.add_from(g);
                 sum += *l;
             }
-            sum / total as f32
+            sum
         };
+        let loss = loss_sum / (total * model.loss_terms_per_row()) as f32;
         if !loss.is_finite() {
             return Err(TrainError::NonFiniteLoss { step: self.step_losses.len(), loss });
         }
-        let frozen = model.frozen_params();
-        clip_and_apply(model, &mut self.grads, frozen, self.cfg.grad_clip, &mut self.opt);
+        self.grads.clip(DEFAULT_GRAD_CLIP);
+        let masked = self.grads.masked_refs(model.frozen_params());
+        self.opt.step(&mut model.params_mut(), &masked);
         self.step_losses.push(loss);
         Ok(loss)
     }
 
-    /// Data-parallel [`Trainer::fit`]: trains on all samples `0..n`
-    /// through [`Trainer::train_batch_sharded`].
-    pub fn fit_sharded<D, M>(
+    /// Trains on all samples `0..n`, shuffling each epoch. Returns the
+    /// mean loss of the final epoch.
+    pub fn fit<D, M>(
         &mut self,
         model: &mut M,
         data: &D,
@@ -593,14 +484,13 @@ impl<O: Optimizer> Trainer<O> {
         M: ShardedBatchLoss<D>,
     {
         let indices: Vec<usize> = (0..n).collect();
-        self.fit_indices_sharded(model, data, &indices, rng)
+        self.fit_indices(model, data, &indices, rng)
     }
 
-    /// Data-parallel [`Trainer::fit_indices`]: identical epoch, batch,
-    /// shuffle and LR-decay schedule, with every batch stepped through
-    /// [`Trainer::train_batch_sharded`]. The worker pool is allocated
-    /// once per call and reused across all batches and epochs.
-    pub fn fit_indices_sharded<D, M>(
+    /// Trains on an explicit index set (e.g. an oversampled mix).
+    /// Returns the mean loss of the final epoch. The worker pool is
+    /// allocated once per call and reused across all batches and epochs.
+    pub fn fit_indices<D, M>(
         &mut self,
         model: &mut M,
         data: &D,
@@ -625,15 +515,11 @@ impl<O: Optimizer> Trainer<O> {
             let mut total = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(batch) {
-                total += self.train_batch_sharded(model, data, chunk, &mut pool)? as f64;
+                total += self.train_batch(model, data, chunk, &mut pool)? as f64;
                 batches += 1;
             }
             last_epoch_mean = (total / batches.max(1) as f64) as f32;
             self.epoch_losses.push(last_epoch_mean);
-            if self.cfg.lr_decay != 1.0 {
-                let lr = self.opt.learning_rate() * self.cfg.lr_decay;
-                self.opt.set_learning_rate(lr);
-            }
         }
         Ok(last_epoch_mean)
     }
@@ -660,11 +546,15 @@ mod tests {
         }
     }
 
-    impl BatchLoss<[f32]> for Scalar {
-        fn batch_gradients(
-            &mut self,
+    impl ShardedBatchLoss<[f32]> for Scalar {
+        type Worker = ();
+
+        fn shard_gradients(
+            &self,
             data: &[f32],
             indices: &[usize],
+            total: usize,
+            _worker: &mut (),
             grads: &mut GradientSet,
         ) -> f32 {
             let w = self.w.get(0, 0);
@@ -676,10 +566,9 @@ mod tests {
                 loss += err * err;
                 g += 2.0 * err * x;
             }
-            let n = indices.len() as f32;
             let slot = grads.get_mut(0);
-            slot.set(0, 0, slot.get(0, 0) + g / n);
-            loss / n
+            slot.set(0, 0, slot.get(0, 0) + g / total as f32);
+            loss
         }
     }
 
@@ -697,24 +586,6 @@ mod tests {
         assert_eq!(trainer.step_losses().len(), 40 * 2);
         // Losses should broadly decrease.
         assert!(trainer.epoch_losses()[39] < trainer.epoch_losses()[0]);
-    }
-
-    #[test]
-    fn lr_decay_shrinks_learning_rate_per_epoch() {
-        let mut model = Scalar { w: Matrix::zeros(1, 1) };
-        let data = [1.0f32, 2.0];
-        let cfg = TrainerConfig {
-            epochs: 3,
-            batch_size: 2,
-            lr_decay: 0.5,
-            shuffle: false,
-            ..TrainerConfig::default()
-        };
-        let mut trainer = Trainer::new(cfg, Sgd::new(0.1, 0.0, &[(1, 1)]), &[(1, 1)]);
-        let mut rng = SmallRng::seed_from_u64(0);
-        trainer.fit(&mut model, data.as_slice(), 2, &mut rng).unwrap();
-        let lr = trainer.optimizer().learning_rate();
-        assert!((lr - 0.1 * 0.125).abs() < 1e-9, "lr after 3 decays: {lr}");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Determinism and fault-containment suite for the data-parallel
-//! trainer path.
+//! Determinism and fault-containment suite for the trainer's gradient
+//! shards.
 //!
-//! The sharded path's contract is that the thread count is pure
-//! scheduling: the shard layout and the reduction order are functions of
-//! the batch's index order and `shard_rows` alone, so every worker count
-//! must produce bit-identical step losses and parameters. These tests
-//! pin that contract for both model families and verify that a panicking
-//! worker surfaces as a typed [`TrainError`] instead of poisoning the
-//! pool.
+//! The trainer's contract is that the thread count is pure scheduling:
+//! the shard layout and the reduction order are functions of the batch's
+//! index order and `shard_rows` alone, so every worker count must
+//! produce bit-identical step losses and parameters. These tests pin
+//! that contract for both model families, check that a multi-shard batch
+//! reports its true mean loss, and verify that a panicking worker
+//! surfaces as a typed [`TrainError`] instead of poisoning the pool.
 
 use nfv_nn::{
-    Activation, Adam, BatchLoss, GradientSet, Mlp, MseRows, SeqView, SequenceModel,
-    SequenceModelConfig, Sgd, ShardedBatchLoss, TrainError, Trainable, Trainer, TrainerConfig,
+    Activation, Adam, GradientSet, Mlp, MseRows, SeqView, SequenceModel, SequenceModelConfig, Sgd,
+    ShardedBatchLoss, TrainError, Trainable, Trainer, TrainerConfig,
 };
 use nfv_tensor::Matrix;
 use rand::rngs::SmallRng;
@@ -42,7 +42,7 @@ fn seq_model(seed: u64) -> SequenceModel {
     SequenceModel::new(cfg, &mut SmallRng::seed_from_u64(seed))
 }
 
-/// Runs one sharded fit and returns (step losses, final parameters).
+/// Runs one multi-shard fit and returns (step losses, final parameters).
 fn run_seq_fit(threads: usize, data: &SeqData) -> (Vec<f32>, Vec<Vec<f32>>) {
     let mut model = seq_model(42);
     let shapes = model.param_shapes();
@@ -56,7 +56,7 @@ fn run_seq_fit(threads: usize, data: &SeqData) -> (Vec<f32>, Vec<Vec<f32>>) {
     let mut trainer = Trainer::new(cfg, Adam::new(5e-3, &shapes), &shapes);
     let view = SeqView { ids: &data.ids, gaps: &data.gaps, targets: &data.targets };
     let mut rng = SmallRng::seed_from_u64(9);
-    trainer.fit_sharded(&mut model, &view, data.ids.len(), &mut rng).unwrap();
+    trainer.fit(&mut model, &view, data.ids.len(), &mut rng).unwrap();
     let params = model.params().iter().map(|p| p.as_slice().to_vec()).collect();
     (trainer.step_losses().to_vec(), params)
 }
@@ -97,7 +97,7 @@ fn mlp_fit_is_bit_identical_for_any_thread_count() {
         let mut trainer = Trainer::new(cfg, Adam::new(3e-3, &shapes), &shapes);
         let data = MseRows { x: &rows, target: &rows };
         let mut rng = SmallRng::seed_from_u64(5);
-        trainer.fit_sharded(&mut mlp, &data, rows.len(), &mut rng).unwrap();
+        trainer.fit(&mut mlp, &data, rows.len(), &mut rng).unwrap();
         let params = mlp.params().iter().map(|p| p.as_slice().to_vec()).collect();
         (trainer.step_losses().to_vec(), params)
     };
@@ -107,6 +107,37 @@ fn mlp_fit_is_bit_identical_for_any_thread_count() {
         assert_eq!(losses, base_losses, "losses diverged at {threads} threads");
         assert_eq!(params, base_params, "parameters diverged at {threads} threads");
     }
+}
+
+#[test]
+fn multi_shard_mlp_loss_is_the_element_mean() {
+    // 40 rows at shard width 16 -> shards of 16, 16 and 8 rows. The step
+    // loss is reported before the update, so it must equal the mean
+    // squared error of the untrained model over all 40 x 6 elements.
+    let rows: Vec<Vec<f32>> =
+        (0..40).map(|r| (0..6).map(|c| ((r * 7 + c * 3) % 11) as f32 * 0.09).collect()).collect();
+    let mut mlp = Mlp::new(
+        &[6, 4, 6],
+        Activation::Tanh,
+        Activation::Identity,
+        &mut SmallRng::seed_from_u64(3),
+    );
+    let x = Matrix::from_fn(40, 6, |r, c| rows[r][c]);
+    let y = mlp.infer(&x);
+    let direct = x.as_slice().iter().zip(y.as_slice()).map(|(a, b)| ((b - a) as f64).powi(2));
+    let direct = direct.sum::<f64>() / (40 * 6) as f64;
+
+    let shapes = Trainable::param_shapes(&mlp);
+    let cfg =
+        TrainerConfig { epochs: 1, batch_size: 40, shard_rows: 16, ..TrainerConfig::default() };
+    let mut trainer = Trainer::new(cfg, Adam::new(3e-3, &shapes), &shapes);
+    let data = MseRows { x: &rows, target: &rows };
+    trainer.fit(&mut mlp, &data, rows.len(), &mut SmallRng::seed_from_u64(1)).unwrap();
+    let reported = trainer.step_losses()[0] as f64;
+    assert!(
+        (reported - direct).abs() <= 1e-6 * direct,
+        "reported loss {reported} is not the element mean {direct}"
+    );
 }
 
 /// y = w * x toward y = 2x, with an optional poisoned sample index whose
@@ -122,21 +153,6 @@ impl Trainable for Panicky {
     }
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w]
-    }
-}
-
-impl BatchLoss<[f32]> for Panicky {
-    fn batch_gradients(&mut self, data: &[f32], indices: &[usize], grads: &mut GradientSet) -> f32 {
-        let mut worker = ();
-        let sum = ShardedBatchLoss::shard_gradients(
-            self,
-            data,
-            indices,
-            indices.len(),
-            &mut worker,
-            grads,
-        );
-        sum / indices.len() as f32
     }
 }
 
@@ -185,11 +201,10 @@ fn large_batches_cross_the_serial_cutoff_and_stay_bit_identical() {
             shard_rows: 16,
             threads,
             shuffle: false,
-            ..TrainerConfig::default()
         };
         let mut trainer = Trainer::new(cfg, Sgd::new(0.02, 0.0, &[(1, 1)]), &[(1, 1)]);
         let mut rng = SmallRng::seed_from_u64(3);
-        trainer.fit_sharded(&mut model, data.as_slice(), n, &mut rng).unwrap();
+        trainer.fit(&mut model, data.as_slice(), n, &mut rng).unwrap();
         (trainer.step_losses().to_vec(), model.w.get(0, 0))
     };
     let (base_losses, base_w) = run(1);
@@ -230,17 +245,10 @@ fn worker_panic_surfaces_as_typed_error_and_pool_stays_usable() {
 
     let data: Vec<f32> = (1..=8).map(|i| i as f32 * 0.25).collect();
     let mut model = Panicky { w: Matrix::zeros(1, 1), panic_on: Some(5) };
-    let cfg = TrainerConfig {
-        epochs: 2,
-        batch_size: 8,
-        shard_rows: 2,
-        threads: 3,
-        shuffle: false,
-        ..TrainerConfig::default()
-    };
+    let cfg = TrainerConfig { epochs: 2, batch_size: 8, shard_rows: 2, threads: 3, shuffle: false };
     let mut trainer = Trainer::new(cfg, Sgd::new(0.05, 0.0, &[(1, 1)]), &[(1, 1)]);
     let mut rng = SmallRng::seed_from_u64(0);
-    let err = trainer.fit_sharded(&mut model, data.as_slice(), data.len(), &mut rng).unwrap_err();
+    let err = trainer.fit(&mut model, data.as_slice(), data.len(), &mut rng).unwrap_err();
     std::panic::set_hook(hook);
 
     let TrainError::WorkerPanic { shard, message } = err else {
@@ -256,7 +264,7 @@ fn worker_panic_surfaces_as_typed_error_and_pool_stays_usable() {
     // The same trainer keeps working once the poison is gone — the pool
     // is not left in a wedged or half-written state.
     model.panic_on = None;
-    let loss = trainer.fit_sharded(&mut model, data.as_slice(), data.len(), &mut rng).unwrap();
+    let loss = trainer.fit(&mut model, data.as_slice(), data.len(), &mut rng).unwrap();
     assert!(loss.is_finite());
     assert_eq!(trainer.step_losses().len(), 2);
     assert!((model.w.get(0, 0) - 2.0).abs() < 2.0, "w moved toward the target");

@@ -2,8 +2,10 @@
 //! NaN/inf, predictions stay valid distributions, and freezing holds
 //! under arbitrary data.
 
-use nfv_nn::model::SeqBatch;
-use nfv_nn::{Adam, Optimizer, SequenceModel, SequenceModelConfig, Sgd, Trainable};
+use nfv_nn::{
+    Adam, Optimizer, SeqView, SequenceModel, SequenceModelConfig, Sgd, TrainError, Trainable,
+    Trainer, TrainerConfig,
+};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -13,6 +15,20 @@ fn small_model(seed: u64, vocab: usize) -> SequenceModel {
         SequenceModelConfig { vocab, embed_dim: 5, hidden: 7, layers: 2, use_gap_feature: true },
         &mut rng,
     )
+}
+
+/// Takes `steps` optimizer steps on the whole of `view` through the
+/// trainer, one unshuffled full batch per epoch.
+fn fit_full_batch<O: Optimizer>(
+    model: &mut SequenceModel,
+    view: &SeqView<'_>,
+    steps: usize,
+    opt: O,
+) -> Result<f32, TrainError> {
+    let n = view.ids.len();
+    let shapes = model.param_shapes();
+    let cfg = TrainerConfig { epochs: steps, batch_size: n, shuffle: false, ..Default::default() };
+    Trainer::new(cfg, opt, &shapes).fit(model, view, n, &mut SmallRng::seed_from_u64(0))
 }
 
 proptest! {
@@ -28,22 +44,18 @@ proptest! {
         gap in 0.0f32..1.0,
     ) {
         let mut model = small_model(seed, 9);
-        let batch = SeqBatch {
-            gaps: ids.iter().map(|w| vec![gap; w.len()]).collect(),
-            ids: ids.clone(),
-        };
+        let gaps: Vec<Vec<f32>> = ids.iter().map(|w| vec![gap; w.len()]).collect();
         let targets: Vec<usize> = targets_src.iter().take(ids.len()).copied().collect();
         prop_assume!(targets.len() == ids.len());
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
 
-        let mut opt = Adam::new(0.05, &model.param_shapes());
-        for _ in 0..5 {
-            let loss = model.train_step(&batch, &targets, &mut opt);
-            prop_assert!(loss.is_finite(), "loss became {}", loss);
-        }
+        let opt = Adam::new(0.05, &model.param_shapes());
+        let fit = fit_full_batch(&mut model, &view, 5, opt);
+        prop_assert!(fit.is_ok(), "training stopped: {:?}", fit);
         for p in model.params() {
             prop_assert!(!p.has_non_finite(), "non-finite parameter after training");
         }
-        let probs = model.predict_probs(&batch);
+        let probs = model.predict_probs(&view);
         prop_assert!(!probs.has_non_finite());
         for r in 0..probs.rows() {
             let s: f32 = probs.row(r).iter().sum();
@@ -56,17 +68,13 @@ proptest! {
     #[test]
     fn sgd_makes_progress(seed in 0u64..200) {
         let mut model = small_model(seed, 6);
-        let batch = SeqBatch {
-            ids: vec![vec![0, 1, 2, 3], vec![1, 2, 3, 4]],
-            gaps: vec![vec![0.2; 4], vec![0.2; 4]],
-        };
-        let targets = vec![4usize, 5];
-        let mut opt = Sgd::new(0.05, 0.9, &model.param_shapes());
-        let first = model.evaluate_loss(&batch, &targets);
-        for _ in 0..30 {
-            model.train_step(&batch, &targets, &mut opt);
-        }
-        let last = model.evaluate_loss(&batch, &targets);
+        let ids = [vec![0, 1, 2, 3], vec![1, 2, 3, 4]];
+        let gaps = [vec![0.2; 4], vec![0.2; 4]];
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &[4, 5] };
+        let first = model.evaluate_loss(&view);
+        let opt = Sgd::new(0.05, 0.9, &model.param_shapes());
+        prop_assert!(fit_full_batch(&mut model, &view, 30, opt).is_ok());
+        let last = model.evaluate_loss(&view);
         prop_assert!(last < first, "loss {} -> {}", first, last);
     }
 

@@ -1,24 +1,21 @@
-//! Refactor-equivalence suite for the shared [`Trainer`] loop.
+//! Captured-trajectory suite for the [`Trainer`] loop.
 //!
-//! The loss trajectories below were captured by running the pre-refactor
+//! The loss trajectories below were captured by running the original
 //! allocating implementation (per-step gradient clones, per-call matrix
-//! allocations) on fixed seeds. The refactored in-place kernels preserve
-//! per-element summation order, so the new code must reproduce every
-//! step loss bit-for-bit — both through the legacy `train_step` wrappers
-//! and through the new `Trainer` path.
+//! allocations) on fixed seeds. The in-place kernels preserve
+//! per-element summation order, so the trainer must reproduce every
+//! step loss bit for bit, at any thread count.
 
-use nfv_nn::model::SeqBatch;
 use nfv_nn::{
-    Activation, Adam, BatchLoss, GradientSet, GruLayer, GruSequenceModel, LstmLayer, Mlp, MseRows,
-    RecurrentCell, RecurrentModel, SeqView, SequenceModel, SequenceModelConfig, Sgd, TrainError,
-    Trainable, Trainer, TrainerConfig,
+    Activation, Adam, GradientSet, GruLayer, GruSequenceModel, LstmLayer, Mlp, MseRows,
+    RecurrentCell, RecurrentModel, RecurrentScratch, SeqView, SequenceModel, SequenceModelConfig,
+    Sgd, ShardedBatchLoss, TrainError, Trainable, Trainer, TrainerConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Pre-refactor `SequenceModel::train_step` losses: model seed 42, data
-/// seed 1234, 16 windows of length 6, vocab 12, Adam 5e-3, 25 full-batch
-/// steps.
+/// LSTM sequence-model losses: model seed 42, data seed 1234, 16
+/// windows of length 6, vocab 12, Adam 5e-3, 25 full-batch steps.
 const SEQ_TRAJ: [f32; 25] = [
     2.4849496, 2.4691317, 2.45332, 2.436119, 2.4166152, 2.3940396, 2.3675995, 2.3364651, 2.299871,
     2.2573574, 2.209166, 2.1568036, 2.1035602, 2.0539556, 2.0118346, 1.9784019, 1.9510148,
@@ -35,8 +32,9 @@ const GRU_TRAJ: [f32; 25] = [
     1.8613176, 1.8435544, 1.8264991, 1.8105471, 1.7959865, 1.7831595, 1.7723169, 1.7632793,
 ];
 
-/// Pre-refactor `Mlp::train_step_mse` losses: seed 77, widths
-/// [10, 6, 3, 6, 10], fixed 12x10 input autoencoded, Adam 3e-3, 25 steps.
+/// MLP autoencoder losses (mean squared error per element): seed 77,
+/// widths [10, 6, 3, 6, 10], fixed 12x10 input autoencoded, Adam 3e-3,
+/// 25 full-batch steps.
 const MLP_TRAJ: [f32; 25] = [
     0.3251093, 0.30827177, 0.29235235, 0.27744457, 0.26362547, 0.25093812, 0.23938751, 0.22894134,
     0.21953328, 0.2110682, 0.20343404, 0.19651249, 0.1901848, 0.18433513, 0.17885454, 0.17364398,
@@ -44,25 +42,31 @@ const MLP_TRAJ: [f32; 25] = [
     0.13102815,
 ];
 
-/// Bit-exact comparison under default features; when the `fast-gemm`
-/// GEMM kernel is compiled in (FMA + split-k accumulation, deliberately
-/// not bit-identical) the comparison relaxes to a tight tolerance.
+/// Bitwise comparison of a step-loss trace against a captured one.
 fn assert_traj_exact(got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len(), "trajectory length mismatch");
-    let exact = nfv_tensor::gemm::default_backend_bit_exact();
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        if exact {
-            assert_eq!(g, w, "step {} loss diverged: got {}, captured {}", i, g, w);
-        } else {
-            assert!(
-                (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                "step {} loss diverged beyond fast-gemm tolerance: got {}, captured {}",
-                i,
-                g,
-                w
-            );
-        }
+        assert_eq!(g.to_bits(), w.to_bits(), "step {} loss diverged: got {}, captured {}", i, g, w);
     }
+}
+
+/// Step losses of 25 unshuffled full-batch epochs of `n` samples through
+/// the trainer at `threads` workers.
+fn full_batch_losses<D: ?Sized + Sync, M: ShardedBatchLoss<D>>(
+    model: &mut M,
+    data: &D,
+    n: usize,
+    lr: f32,
+    threads: usize,
+) -> Vec<f32> {
+    let shapes = model.param_shapes();
+    // 25 epochs x one full batch per epoch = the 25 captured steps; with
+    // shuffling off the rng is never consulted.
+    let cfg =
+        TrainerConfig { epochs: 25, batch_size: n, shuffle: false, threads, ..Default::default() };
+    let mut trainer = Trainer::new(cfg, Adam::new(lr, &shapes), &shapes);
+    trainer.fit(model, data, n, &mut SmallRng::seed_from_u64(0)).unwrap();
+    trainer.step_losses().to_vec()
 }
 
 struct SeqFixture {
@@ -94,85 +98,54 @@ fn seq_fixture() -> SeqFixture {
 }
 
 #[test]
-fn train_step_wrapper_reproduces_captured_trajectory() {
-    let SeqFixture { mut model, ids, gaps, targets } = seq_fixture();
-    let batch = SeqBatch { ids, gaps };
-    let mut opt = Adam::new(5e-3, &model.param_shapes());
-    let losses: Vec<f32> = (0..25).map(|_| model.train_step(&batch, &targets, &mut opt)).collect();
-    assert_traj_exact(&losses, &SEQ_TRAJ);
-}
-
-#[test]
 fn trainer_reproduces_captured_sequence_trajectory() {
     let SeqFixture { mut model, ids, gaps, targets } = seq_fixture();
     let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
-    let shapes = model.param_shapes();
-    // 25 epochs x one full batch per epoch = the 25 captured steps; with
-    // shuffling off the rng is never consulted.
-    let cfg = TrainerConfig { epochs: 25, batch_size: 16, shuffle: false, ..Default::default() };
-    let mut trainer = Trainer::new(cfg, Adam::new(5e-3, &shapes), &shapes);
-    let mut rng = SmallRng::seed_from_u64(0);
-    trainer.fit(&mut model, &view, 16, &mut rng).unwrap();
-    assert_traj_exact(trainer.step_losses(), &SEQ_TRAJ);
+    assert_traj_exact(&full_batch_losses(&mut model, &view, 16, 5e-3, 1), &SEQ_TRAJ);
 }
 
 #[test]
 fn sharded_trainer_with_single_shard_reproduces_captured_trajectory() {
-    // The 16-window full batch fits in one default-width shard, and the
-    // sharded path's single-shard case is required to take the exact
-    // serial code path — so the data-parallel trainer must reproduce the
-    // captured pre-refactor trajectory bit for bit at any thread count.
-    for threads in [1, 4] {
-        let SeqFixture { mut model, ids, gaps, targets } = seq_fixture();
-        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
-        let shapes = model.param_shapes();
-        let cfg = TrainerConfig {
-            epochs: 25,
-            batch_size: 16,
-            shuffle: false,
-            threads,
-            ..Default::default()
-        };
-        let mut trainer = Trainer::new(cfg, Adam::new(5e-3, &shapes), &shapes);
-        let mut rng = SmallRng::seed_from_u64(0);
-        trainer.fit_sharded(&mut model, &view, 16, &mut rng).unwrap();
-        assert_traj_exact(trainer.step_losses(), &SEQ_TRAJ);
-    }
+    // The 16-window full batch fits in one default-width shard, which is
+    // the serial case of the sharded step; the thread count only
+    // schedules, so four workers must still give the captured bits.
+    let cfg = TrainerConfig { batch_size: 16, ..Default::default() };
+    assert!(cfg.resolved_shard_rows() >= 16, "the full batch must be one shard");
+    let SeqFixture { mut model, ids, gaps, targets } = seq_fixture();
+    let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
+    assert_traj_exact(&full_batch_losses(&mut model, &view, 16, 5e-3, 4), &SEQ_TRAJ);
 }
 
 #[test]
 fn trainer_reproduces_captured_gru_trajectory() {
-    let SeqFixture { ids, gaps, targets, .. } = seq_fixture();
-    let cfg = SequenceModelConfig {
-        vocab: 12,
-        embed_dim: 8,
-        hidden: 16,
-        layers: 2,
-        use_gap_feature: true,
-    };
-    let mut model = GruSequenceModel::new(cfg, &mut SmallRng::seed_from_u64(42));
-    let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
-    let shapes = model.param_shapes();
-    let cfg = TrainerConfig { epochs: 25, batch_size: 16, shuffle: false, ..Default::default() };
-    let mut trainer = Trainer::new(cfg, Adam::new(5e-3, &shapes), &shapes);
-    let mut rng = SmallRng::seed_from_u64(0);
-    trainer.fit(&mut model, &view, 16, &mut rng).unwrap();
-    assert_traj_exact(trainer.step_losses(), &GRU_TRAJ);
+    for threads in [1, 4] {
+        let SeqFixture { ids, gaps, targets, .. } = seq_fixture();
+        let cfg = SequenceModelConfig {
+            vocab: 12,
+            embed_dim: 8,
+            hidden: 16,
+            layers: 2,
+            use_gap_feature: true,
+        };
+        let mut model = GruSequenceModel::new(cfg, &mut SmallRng::seed_from_u64(42));
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
+        assert_traj_exact(&full_batch_losses(&mut model, &view, 16, 5e-3, threads), &GRU_TRAJ);
+    }
 }
 
 #[test]
 fn trainer_reproduces_captured_mlp_trajectory() {
-    let mut rng = SmallRng::seed_from_u64(77);
-    let mut mlp = Mlp::new(&[10, 6, 3, 6, 10], Activation::Tanh, Activation::Identity, &mut rng);
+    // The reported loss is the mean over all 12 x 10 elements, not over
+    // the 12 rows alone.
     let rows: Vec<Vec<f32>> =
         (0..12).map(|r| (0..10).map(|c| ((r * 13 + c * 7) % 17) as f32 * 0.05).collect()).collect();
     let data = MseRows { x: &rows, target: &rows };
-    let shapes = Trainable::param_shapes(&mlp);
-    let cfg = TrainerConfig { epochs: 25, batch_size: 12, shuffle: false, ..Default::default() };
-    let mut trainer = Trainer::new(cfg, Adam::new(3e-3, &shapes), &shapes);
-    let mut seed = SmallRng::seed_from_u64(0);
-    trainer.fit(&mut mlp, &data, rows.len(), &mut seed).unwrap();
-    assert_traj_exact(trainer.step_losses(), &MLP_TRAJ);
+    for threads in [1, 4] {
+        let mut rng = SmallRng::seed_from_u64(77);
+        let mut mlp =
+            Mlp::new(&[10, 6, 3, 6, 10], Activation::Tanh, Activation::Identity, &mut rng);
+        assert_traj_exact(&full_batch_losses(&mut mlp, &data, 12, 3e-3, threads), &MLP_TRAJ);
+    }
 }
 
 #[test]
@@ -254,9 +227,8 @@ fn model_gradients_match_finite_differences<C: RecurrentCell>() {
 
     let mut grads = GradientSet::new(&model.param_shapes());
     let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
-    model.batch_gradients(&view, &indices, &mut grads);
+    model.shard_gradients(&view, &indices, n, &mut RecurrentScratch::default(), &mut grads);
 
-    let batch = SeqBatch { ids: ids.clone(), gaps: gaps.clone() };
     let eps = 1e-2f32;
     let n_params = model.params().len();
     for p in 0..n_params {
@@ -267,9 +239,9 @@ fn model_gradients_match_finite_differences<C: RecurrentCell>() {
         for idx in (0..len).step_by(stride) {
             let orig = model.params()[p].as_slice()[idx];
             model.params_mut()[p].as_mut_slice()[idx] = orig + eps;
-            let plus = model.evaluate_loss(&batch, &targets);
+            let plus = model.evaluate_loss(&view);
             model.params_mut()[p].as_mut_slice()[idx] = orig - eps;
-            let minus = model.evaluate_loss(&batch, &targets);
+            let minus = model.evaluate_loss(&view);
             model.params_mut()[p].as_mut_slice()[idx] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             let analytic = grads.get(p).as_slice()[idx];

@@ -26,13 +26,6 @@
 //! silently swallowed. Sparsity no longer buys skipped work, but the
 //! packed panels recover far more than the skip ever did.
 //!
-//! The `fast-gemm` cargo feature (default off) additionally enables an
-//! FMA kernel with a 2-way split-`k` accumulator for long reductions.
-//! That path is faster but **not bit-identical** to the scalar loop —
-//! fused multiplies round once instead of twice and the split changes the
-//! summation order. [`default_backend_bit_exact`] reports which contract
-//! the build provides; the trainer-equivalence suites consult it.
-//!
 //! Pack buffers are thread-local and grow-only, so steady-state training
 //! does not allocate in here.
 //!
@@ -46,8 +39,7 @@
 //! same per-element arithmetic regardless of which block it lands in
 //! (the micro-kernels are row-independent — accumulators never cross
 //! rows), the parallel result is **bit-identical to the serial kernel
-//! for any worker count**, in both the default and the `fast-gemm`
-//! backend. Row blocks are carved in ascending row order and written
+//! for any worker count**. Row blocks are carved in ascending row order and written
 //! panel-ordered within each block, so there is nothing to reduce and
 //! nothing timing-dependent to observe.
 //!
@@ -121,30 +113,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(THREADS_OVERRIDE.with(|t| t.replace(Some(threads))));
     f()
-}
-
-/// True when the compiled default backend is bit-identical to the
-/// reference scalar loop (ascending-k accumulation, no FMA). The
-/// `fast-gemm` feature trades this guarantee for speed; bit-exactness
-/// test suites relax to tolerance comparisons when this returns `false`.
-#[inline]
-pub const fn default_backend_bit_exact() -> bool {
-    cfg!(not(feature = "fast-gemm"))
-}
-
-/// Human-readable name of the kernel the runtime dispatch selects, for
-/// benchmark reports and logs.
-pub fn active_kernel() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if cfg!(feature = "fast-gemm") && std::arch::is_x86_feature_detected!("fma") {
-            return "x86_64/fma (fast-gemm, split-k)";
-        }
-        if std::arch::is_x86_feature_detected!("avx") {
-            return "x86_64/avx (bit-exact)";
-        }
-    }
-    "scalar (bit-exact)"
 }
 
 // ---------------------------------------------------------------------
@@ -319,13 +287,6 @@ fn kernel_rows(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut 
     let (np, tail) = panels_of(n);
     #[cfg(target_arch = "x86_64")]
     {
-        #[cfg(feature = "fast-gemm")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: FMA support was just verified at runtime.
-            unsafe { panels_fma(m, k, n, a, packed, c, np) };
-            tail_from_panel(m, k, n, a, packed, c, np, tail);
-            return;
-        }
         if std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: AVX support was just verified at runtime.
             unsafe { panels_avx(m, k, n, a, packed, c, np) };
@@ -476,83 +437,6 @@ unsafe fn panels_avx(
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(*arow.add(kk)), b));
             }
             _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), acc);
-            i += 1;
-        }
-    }
-}
-
-/// `fast-gemm` kernel: FMA with a 2-way split-k accumulator pair per
-/// register. Faster on long reductions, **not bit-exact** — see the
-/// module docs.
-#[cfg(all(target_arch = "x86_64", feature = "fast-gemm"))]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panels_fma(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: &[f32],
-    c: &mut [f32],
-    np: usize,
-) {
-    use std::arch::x86_64::*;
-    for p in 0..np {
-        let panel = packed[p * k * NR..(p + 1) * k * NR].as_ptr();
-        let col0 = p * NR;
-        let mut i = 0;
-        while i + 2 <= m {
-            let a0 = a[i * k..].as_ptr();
-            let a1 = a[(i + 1) * k..].as_ptr();
-            let mut e0 = _mm256_loadu_ps(c[i * n + col0..].as_ptr());
-            let mut o0 = _mm256_setzero_ps();
-            let mut e1 = _mm256_loadu_ps(c[(i + 1) * n + col0..].as_ptr());
-            let mut o1 = _mm256_setzero_ps();
-            let mut kk = 0;
-            while kk + 2 <= k {
-                let b0 = _mm256_loadu_ps(panel.add(kk * NR));
-                let b1 = _mm256_loadu_ps(panel.add((kk + 1) * NR));
-                e0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(kk)), b0, e0);
-                o0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(kk + 1)), b1, o0);
-                e1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(kk)), b0, e1);
-                o1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(kk + 1)), b1, o1);
-                kk += 2;
-            }
-            if kk < k {
-                let b = _mm256_loadu_ps(panel.add(kk * NR));
-                e0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(kk)), b, e0);
-                e1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(kk)), b, e1);
-            }
-            _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), _mm256_add_ps(e0, o0));
-            _mm256_storeu_ps(c[(i + 1) * n + col0..].as_mut_ptr(), _mm256_add_ps(e1, o1));
-            i += 2;
-        }
-        while i < m {
-            let arow = a[i * k..].as_ptr();
-            let mut even = _mm256_loadu_ps(c[i * n + col0..].as_ptr());
-            let mut odd = _mm256_setzero_ps();
-            let mut kk = 0;
-            while kk + 2 <= k {
-                even = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*arow.add(kk)),
-                    _mm256_loadu_ps(panel.add(kk * NR)),
-                    even,
-                );
-                odd = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*arow.add(kk + 1)),
-                    _mm256_loadu_ps(panel.add((kk + 1) * NR)),
-                    odd,
-                );
-                kk += 2;
-            }
-            if kk < k {
-                even = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*arow.add(kk)),
-                    _mm256_loadu_ps(panel.add(kk * NR)),
-                    even,
-                );
-            }
-            _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), _mm256_add_ps(even, odd));
             i += 1;
         }
     }

@@ -15,10 +15,6 @@
 //!    `rhs` whenever its paired lhs element was exactly `0.0`; the new
 //!    backend must propagate it. The regression test demonstrates the
 //!    old kernel failing exactly this way.
-//!
-//! Under the `fast-gemm` feature the backend deliberately reorders the
-//! reduction (FMA + split-k), so the bitwise suites relax to tolerance
-//! via [`nfv_tensor::gemm::default_backend_bit_exact`].
 
 use nfv_tensor::Matrix;
 use proptest::prelude::*;
@@ -171,28 +167,16 @@ fn pre_pr_matmul_nt(lhs: &Matrix, rhs: &Matrix) -> Matrix {
 
 fn assert_matrix_exact(got: &Matrix, want: &Matrix, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{}: shape mismatch", what);
-    let exact = nfv_tensor::gemm::default_backend_bit_exact();
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice().iter()).enumerate() {
-        if exact {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "{}: element {} differs bitwise: got {}, want {}",
-                what,
-                i,
-                g,
-                w
-            );
-        } else {
-            assert!(
-                (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                "{}: element {} beyond fast-gemm tolerance: got {}, want {}",
-                what,
-                i,
-                g,
-                w
-            );
-        }
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{}: element {} differs bitwise: got {}, want {}",
+            what,
+            i,
+            g,
+            w
+        );
     }
 }
 
@@ -558,11 +542,9 @@ fn parallel_path_is_bitwise_serial_on_forced_split_shapes() {
 }
 
 #[test]
-fn parallel_path_keeps_the_fast_gemm_tolerance_contract() {
-    // Whatever backend is compiled in, the *parallel* result equals the
-    // *serial* result of that backend bitwise — so the backend's own
-    // contract vs the naive loop (bit-exact by default, documented
-    // tolerance under fast-gemm) carries over to every worker count.
+fn parallel_path_equals_the_naive_loop_bitwise() {
+    // The backend's bit-exact contract vs the naive loop carries over to
+    // every worker count of the row-panel fan-out.
     let (m, k, n) = (96, 33, 40);
     let a = dense_fixture(m, k, 0.37);
     let b = dense_fixture(k, n, 0.59);
