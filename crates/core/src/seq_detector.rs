@@ -195,16 +195,37 @@ impl<C: RecurrentCell> SeqDetector<C> {
         all
     }
 
-    fn subsample(&mut self, ws: WindowSet) -> WindowSet {
-        if ws.len() <= self.cfg.max_train_windows {
-            return ws;
+    /// The training windows of `streams`: all of them when they number
+    /// at most `max_train_windows`, else a reservoir sample of that many,
+    /// in sample order. The sample depends only on the window count and
+    /// the RNG, so only the windows it keeps are built.
+    fn training_windows(&mut self, streams: &[&LogStream]) -> WindowSet {
+        let k = self.cfg.window;
+        let counts: Vec<usize> = streams.iter().map(|s| s.window_count(k)).collect();
+        let total: usize = counts.iter().sum();
+        if total <= self.cfg.max_train_windows {
+            return self.collect_windows(streams);
         }
-        let idx = nfv_ml::sampling::reservoir_sample(
-            0..ws.len(),
-            self.cfg.max_train_windows,
-            &mut self.rng,
-        );
-        ws.gather(&idx)
+        let idx =
+            nfv_ml::sampling::reservoir_sample(0..total, self.cfg.max_train_windows, &mut self.rng);
+        // starts[s] is the index of stream s's first window in the
+        // concatenation of every stream's windows.
+        let starts: Vec<usize> = counts
+            .iter()
+            .scan(0, |next, &c| {
+                let start = *next;
+                *next += c;
+                Some(start)
+            })
+            .collect();
+        let mut out = WindowSet::default();
+        for i in idx {
+            // The last stream starting at or before i: streams without
+            // windows share their start with the next one.
+            let s = starts.partition_point(|&start| start <= i) - 1;
+            streams[s].push_window_at(k, i - starts[s], &mut out);
+        }
+        out
     }
 
     fn train_epochs(&mut self, ws: &WindowSet, epochs: usize, lr: f32) {
@@ -300,7 +321,6 @@ impl<C: RecurrentCell> SeqDetector<C> {
     }
 
     fn fit_windows(&mut self, ws: WindowSet) {
-        let ws = self.subsample(ws);
         if ws.is_empty() {
             return;
         }
@@ -362,7 +382,7 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
     }
 
     fn fit(&mut self, streams: &[&LogStream]) {
-        let ws = self.collect_windows(streams);
+        let ws = self.training_windows(streams);
         self.fit_windows(ws);
     }
 
@@ -372,8 +392,7 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
         // update rate would slowly absorb rare benign storms into
         // "normal", eroding exactly the signatures the detector exists
         // to flag.
-        let ws = self.collect_windows(streams);
-        let ws = self.subsample(ws);
+        let ws = self.training_windows(streams);
         self.train_epochs(&ws, self.cfg.update_epochs, self.cfg.lr * 0.15);
     }
 
@@ -381,8 +400,7 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
         // Transfer learning: keep the general sequence representation
         // (embedding + bottom recurrent layer) frozen, fine-tune the top
         // layers on the small post-update sample.
-        let ws = self.collect_windows(streams);
-        let ws = self.subsample(ws);
+        let ws = self.training_windows(streams);
         self.model.set_frozen_bottom(2);
         self.train_epochs(&ws, self.cfg.adapt_epochs, self.cfg.lr);
         self.model.set_frozen_bottom(0);
@@ -489,6 +507,7 @@ mod tests {
         state_roundtrip_is_bit_identical,
         load_state_rejects_wrong_tag_and_vocab,
         score_batch_matches_per_stream_at_any_thread_count,
+        sampled_training_windows_equal_build_then_gather,
     );
 
     /// A predictable cyclic stream with occasional noise, plus a burst of
@@ -521,6 +540,44 @@ mod tests {
             max_train_windows: 3000,
             ..Default::default()
         }
+    }
+
+    /// Several streams, one too short for any window, whose windows
+    /// outnumber the cap: building only the sampled windows gives the
+    /// window set, the RNG draws and the trained state of building every
+    /// window and then gathering the sample.
+    fn sampled_training_windows_equal_build_then_gather<C: RecurrentCell>() {
+        let streams: Vec<LogStream> =
+            [400, 3, 250, 0, 330].iter().map(|&n| training_stream(n, n as u64)).collect();
+        let refs: Vec<&LogStream> = streams.iter().collect();
+        let cfg = SeqDetectorConfig { max_train_windows: 300, epochs: 1, ..tiny_cfg() };
+
+        let mut reference = SeqDetector::<C>::new(cfg.clone());
+        let all = reference.collect_windows(&refs);
+        assert!(all.len() > cfg.max_train_windows);
+        let idx = nfv_ml::sampling::reservoir_sample(
+            0..all.len(),
+            cfg.max_train_windows,
+            &mut reference.rng,
+        );
+        let want = all.gather(&idx);
+
+        let mut det = SeqDetector::<C>::new(cfg.clone());
+        let got = det.training_windows(&refs);
+        assert_eq!(got.ids, want.ids);
+        let bits = |ws: &WindowSet| -> Vec<Vec<u32>> {
+            ws.gaps.iter().map(|g| g.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.targets, want.targets);
+        assert_eq!(got.times, want.times);
+
+        // `update` through the sampled build against the reference
+        // sample trained the same way.
+        reference.train_epochs(&want, cfg.update_epochs, cfg.lr * 0.15);
+        let mut det = SeqDetector::<C>::new(cfg);
+        det.update(&refs);
+        assert_eq!(det.to_state(), reference.to_state());
     }
 
     fn anomalous_burst_scores_above_normal_traffic<C: RecurrentCell>() {

@@ -142,25 +142,33 @@ impl RecurrentCell for GruLayer {
             let (r_z, n_cols) = (0..2 * hd, 2 * hd..3 * hd);
             gates.apply_cols(act::sigmoid_inplace, &[r_z]);
             for r in 0..batch {
-                let row = gates.row_mut(r);
+                let (r_gate, z_n) = gates.row_mut(r).split_at_mut(hd);
                 let zh_n = &zh.row(r)[2 * hd..];
-                for k in 0..hd {
-                    row[2 * hd + k] += row[k] * zh_n[k];
+                for ((n, &rg), &zn) in z_n[hd..].iter_mut().zip(&*r_gate).zip(zh_n) {
+                    *n += rg * zn;
                 }
                 if let Some(hn) = hn.as_deref_mut() {
                     hn.row_mut(r).copy_from_slice(zh_n);
                 }
             }
             gates.apply_cols(act::tanh_inplace, &[n_cols]);
-            // h_prev is zero at t = 0; `z * 0` still carries a NaN z.
+            // h = (1 - z)·n + z·h_prev, as zipped row slices. h_prev is
+            // zero at t = 0; `z * 0` still carries a NaN z.
             let h_prev = done.last();
             for r in 0..batch {
-                let row = gates.row(r);
-                let h_row = h_prev.map(|h| h.row(r));
-                for k in 0..hd {
-                    let (zg, n) = (row[hd + k], row[2 * hd + k]);
-                    let hp = h_row.map_or(0.0, |h| h[k]);
-                    out.set(r, k, (1.0 - zg) * n + zg * hp);
+                let (z, n) = gates.row(r)[hd..].split_at(hd);
+                let h = out.row_mut(r).iter_mut().zip(z).zip(n);
+                match h_prev {
+                    Some(h_prev) => {
+                        for (((h, &z), &n), &hp) in h.zip(h_prev.row(r)) {
+                            *h = (1.0 - z) * n + z * hp;
+                        }
+                    }
+                    None => {
+                        for ((h, &z), &n) in h {
+                            *h = (1.0 - z) * n + z * 0.0;
+                        }
+                    }
                 }
             }
         }

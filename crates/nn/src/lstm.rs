@@ -146,18 +146,20 @@ impl RecurrentCell for LstmLayer {
             gates.apply_cols(act::sigmoid_inplace, &[i_f, o]);
             gates.apply_cols(act::tanh_inplace, &[g]);
 
+            // c = f·c + i·g, then h = o·tanh c, as zipped row slices.
             for r in 0..batch {
                 let g_row = gates.row(r);
-                for (k, c) in c.row_mut(r).iter_mut().enumerate() {
-                    *c = g_row[hd + k] * *c + g_row[k] * g_row[2 * hd + k];
+                let (i, f, g) = (&g_row[..hd], &g_row[hd..2 * hd], &g_row[2 * hd..3 * hd]);
+                for (((c, &i), &f), &g) in c.row_mut(r).iter_mut().zip(i).zip(f).zip(g) {
+                    *c = f * *c + i * g;
                 }
             }
             tanh_c.copy_from(&c);
             act::tanh_inplace(tanh_c.as_mut_slice());
             for r in 0..batch {
-                let g_row = gates.row(r);
-                for k in 0..hd {
-                    out.set(r, k, g_row[3 * hd + k] * tanh_c.get(r, k));
+                let o = &gates.row(r)[3 * hd..];
+                for ((h, &o), &tc) in out.row_mut(r).iter_mut().zip(o).zip(tanh_c.row(r)) {
+                    *h = o * tc;
                 }
             }
         }

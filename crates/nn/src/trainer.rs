@@ -350,8 +350,9 @@ impl<O: Optimizer> Trainer<O> {
     ///
     /// Returns the batch's mean loss, or an error *before* touching the
     /// parameters: [`TrainError::NonFiniteLoss`] when the loss is NaN/inf,
-    /// [`TrainError::WorkerPanic`] when a shard of a multi-shard batch
-    /// panicked. The trainer stays usable after either.
+    /// [`TrainError::WorkerPanic`] when a shard panicked (a one-shard
+    /// batch's only shard is shard 0). The trainer stays usable after
+    /// either.
     fn train_batch<D, M>(
         &mut self,
         model: &mut M,
@@ -369,7 +370,19 @@ impl<O: Optimizer> Trainer<O> {
         self.grads.zero();
         let loss_sum = if n_shards == 1 {
             pool.ensure(1, 0, &[]);
-            model.shard_gradients(data, indices, total, &mut pool.workers[0], &mut self.grads)
+            let (ctx, grads) = (&mut pool.workers[0], &mut self.grads);
+            let model_ref: &M = model;
+            match catch_unwind(AssertUnwindSafe(|| {
+                model_ref.shard_gradients(data, indices, total, ctx, grads)
+            })) {
+                Ok(sum) => sum,
+                Err(payload) => {
+                    return Err(TrainError::WorkerPanic {
+                        shard: 0,
+                        message: panic_message(payload),
+                    })
+                }
+            }
         } else {
             let shards: Vec<&[usize]> = indices.chunks(shard_rows).collect();
             // Small batches stay on the calling thread: per-step

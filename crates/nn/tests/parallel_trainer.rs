@@ -237,6 +237,38 @@ fn auto_shard_rows_resolves_from_batch_size_alone() {
 }
 
 #[test]
+fn one_shard_batch_panic_surfaces_as_typed_error() {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+
+    // Batch 8 within shard_rows 16: the whole batch is one shard, which
+    // runs on the calling thread.
+    let data: Vec<f32> = (1..=8).map(|i| i as f32 * 0.25).collect();
+    let mut model = Panicky { w: Matrix::zeros(1, 1), panic_on: Some(5) };
+    let cfg =
+        TrainerConfig { epochs: 1, batch_size: 8, shard_rows: 16, threads: 1, shuffle: false };
+    let mut trainer = Trainer::new(cfg, Sgd::new(0.05, 0.0, &[(1, 1)]), &[(1, 1)]);
+    let mut rng = SmallRng::seed_from_u64(0);
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        trainer.fit(&mut model, data.as_slice(), data.len(), &mut rng)
+    }));
+    std::panic::set_hook(hook);
+
+    let err = res.expect("a one-shard panic escaped fit").unwrap_err();
+    let TrainError::WorkerPanic { shard, message } = err else {
+        panic!("expected WorkerPanic, got {err:?}");
+    };
+    assert_eq!(shard, 0);
+    assert!(message.contains("poisoned sample 5"), "payload lost: {message}");
+    assert_eq!(model.w.get(0, 0), 0.0, "the step was aborted before the optimizer ran");
+    assert!(trainer.step_losses().is_empty());
+
+    model.panic_on = None;
+    let loss = trainer.fit(&mut model, data.as_slice(), data.len(), &mut rng).unwrap();
+    assert!(loss.is_finite());
+}
+
+#[test]
 fn worker_panic_surfaces_as_typed_error_and_pool_stays_usable() {
     // Keep the default hook from spamming the test log with the expected
     // panic's backtrace; the payload still reaches the typed error.

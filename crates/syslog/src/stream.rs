@@ -173,21 +173,14 @@ impl LogStream {
         if lo >= hi {
             return out;
         }
-        // Each record's gap to its predecessor (0 for the stream's first
-        // record), computed once for the k windows that hold it.
+        // Each record's gap feature, computed once for the k windows that
+        // hold it.
         let first = lo - k;
-        let gaps: Vec<f32> = (first..hi - 1)
-            .map(|i| gap_feature(self.records[i].time - self.records[i.saturating_sub(1)].time))
-            .collect();
+        let gaps: Vec<f32> = (first..hi - 1).map(|i| self.gap_of(i)).collect();
         for t in lo..hi {
-            let target = &self.records[t];
-            if !filter(target) {
-                continue;
+            if filter(&self.records[t]) {
+                self.push_window(&mut out, k, t, |i| gaps[i - first]);
             }
-            out.ids.push(self.records[t - k..t].iter().map(|r| r.template).collect());
-            out.gaps.push(gaps[t - k - first..t - first].to_vec());
-            out.targets.push(target.template);
-            out.times.push(target.time);
         }
         out
     }
@@ -195,6 +188,37 @@ impl LogStream {
     /// All windows of the stream (no time restriction or filter).
     pub fn windows(&self, k: usize) -> WindowSet {
         self.windows_in(k, 0, u64::MAX, |_| true)
+    }
+
+    /// Number of windows [`LogStream::windows`] extracts.
+    pub fn window_count(&self, k: usize) -> usize {
+        let hi = self.records.partition_point(|r| r.time < u64::MAX);
+        hi.saturating_sub(k)
+    }
+
+    /// Appends window `i` of [`LogStream::windows`] (`i <` [`LogStream::window_count`])
+    /// to `out`, equal to the one `windows` builds, without building the
+    /// others.
+    pub fn push_window_at(&self, k: usize, i: usize, out: &mut WindowSet) {
+        assert!(k >= 1, "push_window_at: window length must be >= 1");
+        assert!(i < self.window_count(k), "push_window_at: window {i} out of range");
+        self.push_window(out, k, k + i, |j| self.gap_of(j));
+    }
+
+    /// Record `i`'s gap to its predecessor (0 for the stream's first
+    /// record) as a feature.
+    fn gap_of(&self, i: usize) -> f32 {
+        gap_feature(self.records[i].time - self.records[i.saturating_sub(1)].time)
+    }
+
+    /// Appends the window of the `k` records before record `t`, with `t`
+    /// as its target; `gap(j)` is record `j`'s gap feature.
+    fn push_window(&self, out: &mut WindowSet, k: usize, t: usize, gap: impl Fn(usize) -> f32) {
+        let target = &self.records[t];
+        out.ids.push(self.records[t - k..t].iter().map(|r| r.template).collect());
+        out.gaps.push((t - k..t).map(gap).collect());
+        out.targets.push(target.template);
+        out.times.push(target.time);
     }
 
     /// Splits the stream into per-month sub-streams keyed by the
@@ -374,6 +398,25 @@ mod tests {
         let mut s = LogStream::from_records(vec![LogRecord { time: 1, template: 0 }]);
         s.append(LogStream::from_records(vec![]));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn push_window_at_builds_the_window_windows_builds() {
+        let s = stream();
+        for k in 1..=3 {
+            let all = s.windows(k);
+            assert_eq!(s.window_count(k), all.len());
+            let order: Vec<usize> = (0..all.len()).rev().collect();
+            let mut got = WindowSet::default();
+            for &i in &order {
+                s.push_window_at(k, i, &mut got);
+            }
+            let want = all.gather(&order);
+            assert_eq!(got.ids, want.ids);
+            assert_eq!(got.gaps, want.gaps);
+            assert_eq!(got.targets, want.targets);
+            assert_eq!(got.times, want.times);
+        }
     }
 
     #[test]

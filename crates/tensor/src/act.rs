@@ -1,6 +1,7 @@
 //! Activation kernels: `exp`, `sigmoid`, `tanh` and `ln` on `f32`, with
 //! the exact bits of the libm the workspace's pinned results were
-//! captured with, and 8-lane slice kernels for the recurrent hot paths.
+//! captured with, and 8- and 16-lane slice kernels for the recurrent hot
+//! paths.
 //!
 //! ## Reference algorithms
 //!
@@ -27,14 +28,16 @@
 //! ## Slice kernels
 //!
 //! [`exp_inplace`], [`sigmoid_inplace`] and [`tanh_inplace`] run the
-//! same operations on 8 lanes at once when the CPU has AVX2 and FMA
-//! (detected at runtime, as `gemm` selects its AVX kernel). Only the
-//! ordinary range takes the lane path: `|x| < 88` for `exp` and
-//! `sigmoid`, `2^-55 <= |x| < 22` for `tanh`. Any other lane — NaN,
-//! infinities, overflow and underflow, the tiny and saturated ends of
-//! `tanh` — is recomputed by the scalar reference, so every output equals
-//! the scalar reference's bit for bit. On a CPU without AVX2 or FMA the
-//! slice kernels loop over the scalar functions.
+//! same operations on 16 lanes at once when the CPU has AVX-512F and DQ,
+//! on 8 lanes when it has AVX2 and FMA, as [`Simd::host`] decides for
+//! `gemm` too. The 16-lane kernels are the 8-lane ones with mask
+//! registers in place of `blendv` selects and a two-register permute in
+//! place of the table gather. Only the ordinary range takes a lane path:
+//! `|x| < 88` for `exp` and `sigmoid`, `2^-55 <= |x| < 22` for `tanh`.
+//! Any other lane — NaN, infinities, overflow and underflow, the tiny and
+//! saturated ends of `tanh` — is recomputed by the scalar reference, so
+//! every output equals the scalar reference's bit for bit. On a CPU
+//! without AVX2 or FMA the slice kernels loop over the scalar functions.
 //!
 //! ## FMA dispatch of the scalar functions
 //!
@@ -48,6 +51,8 @@
 //! [`Matrix::apply_cols`](crate::Matrix::apply_cols) feeds column
 //! segments of a whole batch through one kernel call, so an LSTM or GRU
 //! step activates every row's gates together.
+
+use crate::simd::Simd;
 
 /// `EXP_TAB[i]` is the bit pattern of `2^(i/32)` minus `i << 47`: adding
 /// `ki << 47` for any `ki ≡ i (mod 32)` gives the bits of `2^(ki/32)`
@@ -398,14 +403,34 @@ unsafe fn fused<const F: u8>(x: f32) -> f32 {
 }
 
 fn map<const F: u8>(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA support was just verified at runtime.
-        unsafe { lanes::map::<F>(xs) };
-        return;
+    match Simd::current() {
+        // SAFETY: `Simd::current` names only a path the CPU runs, and
+        // AVX-512 includes AVX-512F, DQ and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => unsafe { avx512::map::<F>(xs) },
+        // SAFETY: as above; this path includes AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx2 => unsafe { avx2::map::<F>(xs) },
+        _ => {
+            for x in xs {
+                *x = dispatch::<F>(*x);
+            }
+        }
     }
-    for x in xs {
-        *x = dispatch::<F>(*x);
+}
+
+/// Stores the lane result where `ordinary` has the lane's bit and the
+/// scalar reference's value elsewhere. Both lane widths share it.
+///
+/// # Safety
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[cold]
+#[inline(never)]
+#[target_feature(enable = "fma")]
+unsafe fn fallback<const F: u8>(chunk: &mut [f32], lanes: &[f32], ordinary: u32) {
+    for (i, (x, &y)) in chunk.iter_mut().zip(lanes).enumerate() {
+        *x = if ordinary & (1 << i) != 0 { y } else { scalar::<F>(*x) };
     }
 }
 
@@ -413,7 +438,7 @@ fn map<const F: u8>(xs: &mut [f32]) {
 /// operations in the same order and precision on every lane; selects
 /// stand in for its branches.
 #[cfg(target_arch = "x86_64")]
-mod lanes {
+mod avx2 {
     use super::*;
     use std::arch::x86_64::*;
 
@@ -445,21 +470,10 @@ mod lanes {
             } else {
                 let mut lanes = [0.0f32; 8];
                 _mm256_storeu_ps(lanes.as_mut_ptr(), y);
-                fallback::<F>(chunk, &lanes, ordinary);
+                fallback::<F>(chunk, &lanes, ordinary as u32);
             }
         }
         tail.copy_from_slice(&padded[..tail.len()]);
-    }
-
-    /// Stores the lane result where `ordinary` has the lane's bit and the
-    /// scalar reference's value elsewhere.
-    #[cold]
-    #[inline(never)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fallback<const F: u8>(chunk: &mut [f32; 8], lanes: &[f32; 8], ordinary: i32) {
-        for (i, (x, &y)) in chunk.iter_mut().zip(lanes).enumerate() {
-            *x = if ordinary & (1 << i) != 0 { y } else { scalar::<F>(*x) };
-        }
     }
 
     /// [`exp_core`] on 8 lanes, as two halves of 4 doubles.
@@ -611,6 +625,208 @@ mod lanes {
     #[target_feature(enable = "avx2,fma")]
     unsafe fn lanes_eq(k: __m256i, v: i32) -> __m256 {
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(v)))
+    }
+}
+
+/// The 16-lane AVX-512 kernels: the 8-lane ones operation for operation,
+/// with mask registers for the compares and selects.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    pub(super) unsafe fn map<const F: u8>(xs: &mut [f32]) {
+        let (chunks, tail) = xs.as_chunks_mut::<16>();
+        // The tail runs as one more chunk, padded with an ordinary input;
+        // only its live lanes are stored back.
+        let mut padded = [0.5f32; 16];
+        padded[..tail.len()].copy_from_slice(tail);
+        let last = if tail.is_empty() { None } else { Some(&mut padded) };
+        for chunk in chunks.iter_mut().chain(last) {
+            let x = _mm512_loadu_ps(chunk.as_ptr());
+            let abs = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fff_ffff));
+            let (y, ordinary) = match F {
+                EXP => (exp16(x), below(abs, 0x42b0_0000)),
+                SIGMOID => (sigmoid16(x), below(abs, 0x42b0_0000)),
+                _ => (tanh16(x), !below(abs, 0x2400_0000) & below(abs, 0x41b0_0000)),
+            };
+            if ordinary == 0xffff {
+                _mm512_storeu_ps(chunk.as_mut_ptr(), y);
+            } else {
+                let mut lanes = [0.0f32; 16];
+                _mm512_storeu_ps(lanes.as_mut_ptr(), y);
+                fallback::<F>(chunk, &lanes, u32::from(ordinary));
+            }
+        }
+        tail.copy_from_slice(&padded[..tail.len()]);
+    }
+
+    /// [`exp_core`] on 16 lanes, as two halves of 8 doubles.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let lo = exp8d(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
+        let hi = exp8d(_mm512_cvtps_pd(_mm512_extractf32x8_ps::<1>(x)));
+        _mm512_insertf32x8::<1>(_mm512_castps256_ps512(lo), hi)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn exp8d(xd: __m512d) -> __m256 {
+        let inv_ln2_n = _mm512_set1_pd(EXP_INV_LN2_N);
+        let shift = _mm512_set1_pd(EXP_SHIFT);
+        let kd = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+        let ki = _mm512_castpd_si512(kd);
+        let kd = _mm512_sub_pd(kd, shift);
+        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
+        // EXP_TAB[ki % 32]: each permute picks from 16 entries by the low
+        // four index bits, and bit 4 picks the permute.
+        let tab: *const __m512i = EXP_TAB.as_ptr().cast();
+        let low = _mm512_permutex2var_epi64(
+            _mm512_loadu_si512(tab.cast()),
+            ki,
+            _mm512_loadu_si512(tab.add(1).cast()),
+        );
+        let high = _mm512_permutex2var_epi64(
+            _mm512_loadu_si512(tab.add(2).cast()),
+            ki,
+            _mm512_loadu_si512(tab.add(3).cast()),
+        );
+        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+        let t = _mm512_mask_blend_epi64(upper, low, high);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let z = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C[0]), r, _mm512_set1_pd(EXP_C[1]));
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C[2]), r, _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(z, r2, y);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    }
+
+    /// [`sigmoid`] on 16 lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn sigmoid16(x: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        let pos = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
+        let e = exp16(_mm512_mask_blend_ps(pos, x, _mm512_xor_ps(x, _mm512_set1_ps(-0.0))));
+        _mm512_div_ps(_mm512_mask_blend_ps(pos, e, one), _mm512_add_ps(one, e))
+    }
+
+    /// [`tanh`] on 16 lanes for `2^-55 <= |x| < 22`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn tanh16(x: __m512) -> __m512 {
+        let sign = _mm512_set1_ps(-0.0);
+        let one = _mm512_set1_ps(1.0);
+        let two = _mm512_set1_ps(2.0);
+        let ax = _mm512_andnot_ps(sign, x);
+        let big = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(ax, one);
+        let arg = _mm512_mask_blend_ps(
+            big,
+            _mm512_mul_ps(_mm512_set1_ps(-2.0), ax),
+            _mm512_add_ps(ax, ax),
+        );
+        let t = expm1_16(arg);
+        // |x| >= 1: 1 - 2/(t+2); else -t/(t+2).
+        let q = _mm512_div_ps(
+            _mm512_mask_blend_ps(big, _mm512_xor_ps(t, sign), two),
+            _mm512_add_ps(t, two),
+        );
+        let z = _mm512_mask_blend_ps(big, q, _mm512_sub_ps(one, q));
+        _mm512_xor_ps(z, _mm512_and_ps(x, sign))
+    }
+
+    /// [`expm1`] on 16 lanes, over the same domain.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn expm1_16(x: __m512) -> __m512 {
+        let sign = _mm512_set1_ps(-0.0);
+        let one = _mm512_set1_ps(1.0);
+        let half = _mm512_set1_ps(0.5);
+        let xi = _mm512_castps_si512(x);
+        let hx = _mm512_and_si512(xi, _mm512_set1_epi32(0x7fff_ffff));
+        let neg = _mm512_srai_epi32::<31>(xi);
+
+        // k: 0 up to ln2/2, ±1 below 1.5·ln2, else trunc(x/ln2 ± 1/2).
+        let rounded = _mm512_add_ps(
+            _mm512_mul_ps(_mm512_set1_ps(INV_LN2), x),
+            _mm512_or_ps(half, _mm512_and_ps(x, sign)),
+        );
+        let k = _mm512_mask_blend_epi32(
+            below(hx, 0x3f85_1592),
+            _mm512_cvttps_epi32(rounded),
+            _mm512_or_si512(neg, _mm512_set1_epi32(1)),
+        );
+        let k = _mm512_maskz_mov_epi32(!below(hx, 0x3eb1_7219), k);
+
+        let t = _mm512_cvtepi32_ps(k);
+        let hi = _mm512_sub_ps(x, _mm512_mul_ps(t, _mm512_set1_ps(LN2_HI)));
+        let lo = _mm512_mul_ps(t, _mm512_set1_ps(LN2_LO));
+        let xr = _mm512_sub_ps(hi, lo);
+        let c = _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo);
+
+        let hfx = _mm512_mul_ps(half, xr);
+        let hxs = _mm512_mul_ps(xr, hfx);
+        let mut p = _mm512_mul_ps(hxs, _mm512_set1_ps(Q5));
+        for q in [Q4, Q3, Q2, Q1] {
+            p = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(q), p));
+        }
+        let r1 = _mm512_add_ps(one, p);
+        let t = _mm512_sub_ps(_mm512_set1_ps(3.0), _mm512_mul_ps(r1, hfx));
+        let e = _mm512_mul_ps(
+            hxs,
+            _mm512_div_ps(
+                _mm512_sub_ps(r1, t),
+                _mm512_sub_ps(_mm512_set1_ps(6.0), _mm512_mul_ps(xr, t)),
+            ),
+        );
+        let k0 = _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs));
+        let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c), hxs);
+        let km1 = _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(xr, e)), half);
+
+        let e_x = _mm512_sub_ps(e, xr);
+        let far = _mm512_sub_ps(scale(_mm512_sub_ps(one, e_x), k), one);
+        let t_mid = _mm512_sub_epi32(
+            _mm512_set1_epi32(0x3f80_0000),
+            _mm512_srlv_epi32(_mm512_set1_epi32(0x0100_0000), k),
+        );
+        let mid = scale(_mm512_sub_ps(_mm512_castsi512_ps(t_mid), e_x), k);
+        let t_high = _mm512_slli_epi32::<23>(_mm512_sub_epi32(_mm512_set1_epi32(0x7f), k));
+        let high = scale(
+            _mm512_add_ps(_mm512_sub_ps(xr, _mm512_add_ps(e, _mm512_castsi512_ps(t_high))), one),
+            k,
+        );
+
+        let is_far = !below(k, 57) | below(k, -1);
+        let mut y = _mm512_mask_blend_ps(below(k, 23), high, mid);
+        y = _mm512_mask_blend_ps(is_far, y, far);
+        y = _mm512_mask_blend_ps(lanes_eq(k, -1), y, km1);
+        y = _mm512_mask_blend_ps(lanes_eq(k, 0), y, k0);
+        let tiny = below(hx, 0x3300_0000);
+        _mm512_mask_blend_ps(tiny, y, x)
+    }
+
+    /// Adds `k` to each lane's binary exponent by integer addition on
+    /// its bits, as fdlibm does.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn scale(y: __m512, k: __m512i) -> __m512 {
+        _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(y), _mm512_slli_epi32::<23>(k)))
+    }
+
+    /// Lane mask of `v < limit`, signed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn below(v: __m512i, limit: i32) -> __mmask16 {
+        _mm512_cmplt_epi32_mask(v, _mm512_set1_epi32(limit))
+    }
+
+    /// Lane mask of `k == v`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,fma")]
+    unsafe fn lanes_eq(k: __m512i, v: i32) -> __mmask16 {
+        _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(v))
     }
 }
 

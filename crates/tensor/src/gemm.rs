@@ -3,8 +3,10 @@
 //!
 //! All three product forms reduce to one packed inner kernel computing
 //! `C += A · B` with `A` row-major and `B` repacked into column panels of
-//! [`NR`] consecutive columns (`panel[k * NR + lane] = b[k][j0 + lane]`),
-//! so the innermost loop reads both operands contiguously:
+//! `W` consecutive columns (`panel[k * W + lane] = b[k][j0 + lane]`), so
+//! the innermost loop reads both operands contiguously. The panel width
+//! follows the kernel [`Simd::host`] selects: 16 columns for the AVX-512
+//! kernel, [`NR`] = 8 for the AVX and scalar kernels.
 //!
 //! * `matmul` (`A · B`): pack `B`'s rows into panels.
 //! * `matmul_tn` (`Aᵀ · B`): transpose-pack `A`, then run the same kernel.
@@ -16,9 +18,12 @@
 //! `k` order, one rounded multiply and one rounded add per contribution**
 //! — exactly the arithmetic of the pre-existing scalar loops — so the
 //! default backend is bit-identical to them on finite inputs, whether the
-//! lanes are evaluated by the autovectorized scalar kernel or by the
-//! explicit AVX kernel selected at runtime (`_mm256_mul_ps` +
-//! `_mm256_add_ps` are element-wise IEEE ops, not fused).
+//! lanes are evaluated by the autovectorized scalar kernel or by an
+//! explicit AVX or AVX-512 kernel selected at runtime (`mul_ps` then
+//! `add_ps` are element-wise IEEE ops, never fused). The panel width only
+//! decides which lane computes an element, never its arithmetic. The
+//! 16-lane kernel covers the last, partial panel with masked loads and
+//! stores of `C`; the others finish it with a per-row tail kernel.
 //!
 //! Unlike the old loops, the kernel has **no zero-skip fast path**: a
 //! `0.0` in `A` no longer suppresses the multiply, so a NaN/Inf in `B`
@@ -50,11 +55,15 @@
 //! regions already running *on* a pool worker (e.g. a GEMM inside a
 //! gradient-shard task) stay serial — the outer region owns the cores.
 
+use crate::simd::Simd;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Panel width (columns per packed panel / SIMD lanes per accumulator).
+/// Panel width of the AVX and scalar kernels (columns per packed panel /
+/// SIMD lanes per accumulator).
 pub const NR: usize = 8;
+/// Panel width of the AVX-512 kernel.
+const NR16: usize = 16;
 /// Output rows processed together by the micro-kernel.
 pub const MR: usize = 4;
 
@@ -128,11 +137,12 @@ pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
     if m == 0 || k == 0 || n == 0 {
         return;
     }
+    let simd = Simd::current();
     PACK.with(|bufs| {
         let bufs = &mut *bufs.borrow_mut();
         let (packed, _) = bufs.split_at_mut(1);
-        pack_rhs(k, n, b, &mut packed[0]);
-        kernel_dispatch(m, k, n, a, &packed[0], c);
+        pack_rhs(panel_width(simd), k, n, b, &mut packed[0]);
+        kernel_dispatch(simd, m, k, n, a, &packed[0], c);
     });
 }
 
@@ -150,10 +160,11 @@ pub fn gemm_tn_acc(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
     if m == 0 || r == 0 || n == 0 {
         return;
     }
+    let simd = Simd::current();
     PACK.with(|bufs| {
         let bufs = &mut *bufs.borrow_mut();
         let (packed, at) = bufs.split_at_mut(1);
-        pack_rhs(r, n, b, &mut packed[0]);
+        pack_rhs(panel_width(simd), r, n, b, &mut packed[0]);
         // Transpose-pack a (r x m) into at (m x r).
         let at = &mut at[0];
         at.clear();
@@ -163,7 +174,7 @@ pub fn gemm_tn_acc(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
                 at[j * r + i] = v;
             }
         }
-        kernel_dispatch(m, r, n, at, &packed[0], c);
+        kernel_dispatch(simd, m, r, n, at, &packed[0], c);
     });
 }
 
@@ -176,11 +187,12 @@ pub fn gemm_nt_acc(m: usize, k: usize, j: usize, a: &[f32], b: &[f32], c: &mut [
     if m == 0 || k == 0 || j == 0 {
         return;
     }
+    let simd = Simd::current();
     PACK.with(|bufs| {
         let bufs = &mut *bufs.borrow_mut();
         let (packed, _) = bufs.split_at_mut(1);
-        pack_rhs_transposed(k, j, b, &mut packed[0]);
-        kernel_dispatch(m, k, j, a, &packed[0], c);
+        pack_rhs_transposed(panel_width(simd), k, j, b, &mut packed[0]);
+        kernel_dispatch(simd, m, k, j, a, &packed[0], c);
     });
 }
 
@@ -188,53 +200,56 @@ pub fn gemm_nt_acc(m: usize, k: usize, j: usize, a: &[f32], b: &[f32], c: &mut [
 // Packing.
 // ---------------------------------------------------------------------
 
-/// Number of full panels and leftover columns for a width-`n` rhs.
-#[inline]
-fn panels_of(n: usize) -> (usize, usize) {
-    (n / NR, n % NR)
+/// Panel width of the kernel `simd` selects.
+fn panel_width(simd: Simd) -> usize {
+    if simd == Simd::Avx512 {
+        NR16
+    } else {
+        NR
+    }
 }
 
-/// Packs a row-major `k x n` matrix into `NR`-column panels:
-/// `out[p * k * NR + kk * NR + lane] = b[kk * n + p * NR + lane]`.
-/// The last panel is zero-padded when `n % NR != 0`; the tail kernel
-/// reads it with the same layout but only stores the live lanes.
-fn pack_rhs(k: usize, n: usize, b: &[f32], out: &mut Vec<f32>) {
-    let (np, tail) = panels_of(n);
+/// Number of full width-`w` panels and leftover columns for a width-`n`
+/// rhs.
+#[inline]
+fn panels_of(w: usize, n: usize) -> (usize, usize) {
+    (n / w, n % w)
+}
+
+/// Packs a row-major `k x n` matrix into `w`-column panels:
+/// `out[p * k * w + kk * w + lane] = b[kk * n + p * w + lane]`.
+/// The last panel is zero-padded when `n % w != 0`; the tail kernels
+/// read it with the same layout but only store the live lanes.
+fn pack_rhs(w: usize, k: usize, n: usize, b: &[f32], out: &mut Vec<f32>) {
+    let (np, tail) = panels_of(w, n);
     let np_total = np + usize::from(tail > 0);
     out.clear();
-    out.resize(np_total * k * NR, 0.0);
-    for p in 0..np {
-        let dst = &mut out[p * k * NR..(p + 1) * k * NR];
-        let col0 = p * NR;
-        for kk in 0..k {
-            dst[kk * NR..(kk + 1) * NR].copy_from_slice(&b[kk * n + col0..kk * n + col0 + NR]);
-        }
-    }
-    if tail > 0 {
-        let dst = &mut out[np * k * NR..];
-        let col0 = np * NR;
-        for kk in 0..k {
-            dst[kk * NR..kk * NR + tail].copy_from_slice(&b[kk * n + col0..kk * n + col0 + tail]);
+    out.resize(np_total * k * w, 0.0);
+    for p in 0..np_total {
+        let (col0, lanes) = (p * w, if p < np { w } else { tail });
+        let dst = &mut out[p * k * w..(p + 1) * k * w];
+        for (kk, row) in dst.chunks_exact_mut(w).enumerate() {
+            row[..lanes].copy_from_slice(&b[kk * n + col0..kk * n + col0 + lanes]);
         }
     }
 }
 
 /// Packs panels of the *transpose* of a row-major `j x k` matrix, i.e.
 /// the same layout [`pack_rhs`] would produce for the `k x j` matrix
-/// `bᵀ`: `out[p * k * NR + kk * NR + lane] = b[(p * NR + lane) * k + kk]`,
+/// `bᵀ`: `out[p * k * w + kk * w + lane] = b[(p * w + lane) * k + kk]`,
 /// again zero-padding the last panel.
-fn pack_rhs_transposed(k: usize, j: usize, b: &[f32], out: &mut Vec<f32>) {
-    let (np, tail) = panels_of(j);
+fn pack_rhs_transposed(w: usize, k: usize, j: usize, b: &[f32], out: &mut Vec<f32>) {
+    let (np, tail) = panels_of(w, j);
     let np_total = np + usize::from(tail > 0);
     out.clear();
-    out.resize(np_total * k * NR, 0.0);
+    out.resize(np_total * k * w, 0.0);
     for p in 0..np_total {
-        let lanes = if p < np { NR } else { tail };
-        let dst = &mut out[p * k * NR..(p + 1) * k * NR];
+        let lanes = if p < np { w } else { tail };
+        let dst = &mut out[p * k * w..(p + 1) * k * w];
         for lane in 0..lanes {
-            let src = &b[(p * NR + lane) * k..(p * NR + lane + 1) * k];
+            let src = &b[(p * w + lane) * k..(p * w + lane + 1) * k];
             for (kk, &v) in src.iter().enumerate() {
-                dst[kk * NR + lane] = v;
+                dst[kk * w + lane] = v;
             }
         }
     }
@@ -261,13 +276,21 @@ fn row_blocks(requested: usize, m: usize, k: usize, n: usize) -> usize {
 /// enough. Every worker reads the same packed panels and writes its own
 /// disjoint row range with the identical per-element arithmetic, so this
 /// is bit-identical to [`kernel_rows`] on one thread (see module docs).
-fn kernel_dispatch(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
+fn kernel_dispatch(
+    simd: Simd,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &[f32],
+    c: &mut [f32],
+) {
     let blocks = row_blocks(configured_threads(), m, k, n);
     // Nested regions (a GEMM inside a pool task) stay serial: the outer
     // fan-out already owns the workers, and the pool would run the
     // spawned tasks inline anyway.
     if blocks <= 1 || nfv_pool::in_worker() {
-        kernel_rows(m, k, n, a, packed, c);
+        kernel_rows(simd, m, k, n, a, packed, c);
         return;
     }
     // MR-aligned block height so only the last block has remainder rows;
@@ -275,27 +298,33 @@ fn kernel_dispatch(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &
     let rows = m.div_ceil(blocks).next_multiple_of(MR);
     nfv_pool::global().scope(|s| {
         for (ab, cb) in a.chunks(rows * k).zip(c.chunks_mut(rows * n)) {
-            s.spawn(move || kernel_rows(cb.len() / n, k, n, ab, packed, cb));
+            s.spawn(move || kernel_rows(simd, cb.len() / n, k, n, ab, packed, cb));
         }
     });
 }
 
-/// Runs the packed kernel over every full panel of a row range, then the
-/// zero-padded tail panel (last `n % NR` columns) with per-lane scalar
-/// stores. `a` is `m x k` row-major.
-fn kernel_rows(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
-    let (np, tail) = panels_of(n);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support was just verified at runtime.
+/// Runs the kernel `simd` selects over a row range of panels packed at
+/// its width. The AVX-512 kernel covers every panel; the others run
+/// every full panel, then the zero-padded tail panel (last `n % NR`
+/// columns) with per-lane scalar stores. `a` is `m x k` row-major.
+fn kernel_rows(simd: Simd, m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
+    let (np, tail) = panels_of(NR, n);
+    match simd {
+        // SAFETY: `simd` comes from `Simd::current`, which names only a
+        // path the CPU runs; AVX-512 includes AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => unsafe { panels_avx512(m, k, n, a, packed, c) },
+        // SAFETY: as above; both paths include AVX.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx | Simd::Avx2 => {
             unsafe { panels_avx(m, k, n, a, packed, c, np) };
             tail_from_panel(m, k, n, a, packed, c, np, tail);
-            return;
+        }
+        _ => {
+            panels_scalar(m, k, n, a, packed, c, np);
+            tail_from_panel(m, k, n, a, packed, c, np, tail);
         }
     }
-    panels_scalar(m, k, n, a, packed, c, np);
-    tail_from_panel(m, k, n, a, packed, c, np, tail);
 }
 
 /// Scalar micro-kernel over the packed panels; the fixed-width lane
@@ -437,6 +466,62 @@ unsafe fn panels_avx(
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(*arow.add(kk)), b));
             }
             _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), acc);
+            i += 1;
+        }
+    }
+}
+
+/// The 16-lane kernel over every panel of `packed` (packed at width
+/// [`NR16`]), the last one included: its loads and stores of `c` are
+/// masked to the live columns, and its zero-padded panel lanes are never
+/// stored.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn panels_avx512(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
+    use std::arch::x86_64::*;
+    for p in 0..n.div_ceil(NR16) {
+        let panel = packed[p * k * NR16..(p + 1) * k * NR16].as_ptr();
+        let col0 = p * NR16;
+        let live = (n - col0).min(NR16);
+        let mask: __mmask16 = if live == NR16 { !0 } else { (1 << live) - 1 };
+        // Row `r`'s `live` columns of this panel, bounds-checked; the
+        // masked loads and stores touch no others.
+        let mut c_at = |r: usize| c[r * n + col0..r * n + col0 + live].as_mut_ptr();
+        let mut i = 0;
+        while i + MR <= m {
+            let a0 = a[i * k..].as_ptr();
+            let a1 = a[(i + 1) * k..].as_ptr();
+            let a2 = a[(i + 2) * k..].as_ptr();
+            let a3 = a[(i + 3) * k..].as_ptr();
+            let mut acc0 = _mm512_maskz_loadu_ps(mask, c_at(i));
+            let mut acc1 = _mm512_maskz_loadu_ps(mask, c_at(i + 1));
+            let mut acc2 = _mm512_maskz_loadu_ps(mask, c_at(i + 2));
+            let mut acc3 = _mm512_maskz_loadu_ps(mask, c_at(i + 3));
+            for kk in 0..k {
+                let b = _mm512_loadu_ps(panel.add(kk * NR16));
+                // mul + add (not fused), as in the AVX kernel.
+                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*a0.add(kk)), b));
+                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*a1.add(kk)), b));
+                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*a2.add(kk)), b));
+                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*a3.add(kk)), b));
+            }
+            _mm512_mask_storeu_ps(c_at(i), mask, acc0);
+            _mm512_mask_storeu_ps(c_at(i + 1), mask, acc1);
+            _mm512_mask_storeu_ps(c_at(i + 2), mask, acc2);
+            _mm512_mask_storeu_ps(c_at(i + 3), mask, acc3);
+            i += MR;
+        }
+        while i < m {
+            let arow = a[i * k..].as_ptr();
+            let mut acc = _mm512_maskz_loadu_ps(mask, c_at(i));
+            for kk in 0..k {
+                let b = _mm512_loadu_ps(panel.add(kk * NR16));
+                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(*arow.add(kk)), b));
+            }
+            _mm512_mask_storeu_ps(c_at(i), mask, acc);
             i += 1;
         }
     }

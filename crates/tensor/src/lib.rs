@@ -15,6 +15,7 @@ pub mod act;
 pub mod gemm;
 pub mod init;
 pub mod matrix;
+pub mod simd;
 pub mod stats;
 pub mod vecops;
 pub mod workspace;

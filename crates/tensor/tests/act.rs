@@ -1,11 +1,12 @@
 //! `nfv_tensor::act`: the scalar references reproduce their pinned sample
-//! digests, and every slice kernel equals its scalar reference bit for
-//! bit on slices that mix ordinary values with special values and branch
-//! boundaries.
+//! digests, and every slice kernel, on every lane path the CPU runs,
+//! equals its scalar reference bit for bit on slices that mix ordinary
+//! values with special values and branch boundaries.
 
 mod act_digest;
 
 use act_digest::{sample_digest, EXP, LN, SIGMOID, TANH};
+use nfv_tensor::simd::{with_simd, Simd};
 use nfv_tensor::{act, Matrix};
 use proptest::prelude::*;
 
@@ -82,11 +83,19 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 }
 
 fn kernel_matches_reference(kernel: fn(&mut [f32]), f: fn(f32) -> f32, xs: &[f32]) {
-    let mut ys = xs.to_vec();
-    kernel(&mut ys);
     let want: Vec<f32> = xs.iter().map(|&x| f(x)).collect();
-    for (i, (&x, (got, want))) in xs.iter().zip(bits(&ys).iter().zip(bits(&want))).enumerate() {
-        assert_eq!(*got, want, "element {i} of {}: input {x:e} ({:#010x})", xs.len(), x.to_bits());
+    for simd in Simd::supported() {
+        let mut ys = xs.to_vec();
+        with_simd(simd, || kernel(&mut ys));
+        for (i, (&x, (got, want))) in xs.iter().zip(bits(&ys).iter().zip(bits(&want))).enumerate() {
+            assert_eq!(
+                *got,
+                want,
+                "{simd:?}, element {i} of {}: input {x:e} ({:#010x})",
+                xs.len(),
+                x.to_bits()
+            );
+        }
     }
 }
 
@@ -113,15 +122,17 @@ fn apply_cols_matches_elementwise(m: &Matrix, cols: &[std::ops::Range<usize>]) {
         (act::sigmoid_inplace as fn(&mut [f32]), act::sigmoid as fn(f32) -> f32),
         (act::tanh_inplace, act::tanh),
     ] {
-        let mut got = m.clone();
-        got.apply_cols(kernel, cols);
         let mut want = m.clone();
         for r in 0..m.rows() {
             for c in cols.iter().flat_map(|c| c.clone()) {
                 want.set(r, c, f(m.get(r, c)));
             }
         }
-        assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "columns {cols:?}");
+        for simd in Simd::supported() {
+            let mut got = m.clone();
+            with_simd(simd, || got.apply_cols(kernel, cols));
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{simd:?}, columns {cols:?}");
+        }
     }
 }
 

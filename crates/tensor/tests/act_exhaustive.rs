@@ -1,16 +1,23 @@
 //! Exhaustive digests of `nfv_tensor::act`: all 2^32 `f32` inputs through
-//! each scalar reference and each dispatched slice kernel must reproduce
-//! the digests captured from the libm the workspace's pins come from.
-//! About half a minute per function in release:
+//! each scalar reference, and through each slice kernel on every lane
+//! path the CPU runs, must reproduce the digests captured from the libm
+//! the workspace's pins come from. About half a minute per function and
+//! path in release; `--nocapture` shows which lane paths ran and which
+//! the CPU made the run skip:
 //!
 //! ```sh
-//! cargo test --release -p nfv-tensor --test act_exhaustive -- --ignored
+//! cargo test --release -p nfv-tensor --test act_exhaustive -- --ignored --nocapture
 //! ```
 
 mod act_digest;
 
 use act_digest::{all_inputs_digest, block_inputs, EXP, LN, SIGMOID, TANH};
 use nfv_tensor::act;
+use nfv_tensor::simd::{with_simd, Simd};
+
+/// The distinct lane paths of the slice kernels: `Simd::Avx` runs the
+/// scalar loop, as `Simd::Scalar` does.
+const KERNEL_PATHS: [Simd; 3] = [Simd::Scalar, Simd::Avx2, Simd::Avx512];
 
 fn scalar_digest(f: fn(f32) -> f32) -> u64 {
     all_inputs_digest(|b| block_inputs(b).into_iter().map(f).collect())
@@ -38,25 +45,39 @@ fn check(name: &str, got: u64, want: u64) {
     assert_eq!(got, want, "{name}: all-inputs digest {got:#018x}, want {want:#018x}");
 }
 
+/// Checks `kernel` on every path of [`KERNEL_PATHS`] the CPU runs, and
+/// prints each path it ran or skipped.
+fn check_kernel_paths(name: &str, kernel: fn(&mut [f32]), want: u64) {
+    for simd in KERNEL_PATHS {
+        if simd > Simd::host() {
+            println!("{name} on {simd:?}: skipped, this CPU cannot run it");
+            continue;
+        }
+        let got = with_simd(simd, || kernel_digest(kernel));
+        check(&format!("{name} on {simd:?}"), got, want);
+        println!("{name} on {simd:?}: all 2^32 inputs match");
+    }
+}
+
 #[test]
 #[ignore = "all 2^32 inputs: run in release with --ignored"]
 fn exp_all_inputs() {
     check("exp", scalar_digest(act::exp), EXP.0);
-    check("exp_inplace", kernel_digest(act::exp_inplace), EXP.0);
+    check_kernel_paths("exp_inplace", act::exp_inplace, EXP.0);
 }
 
 #[test]
 #[ignore = "all 2^32 inputs: run in release with --ignored"]
 fn sigmoid_all_inputs() {
     check("sigmoid", scalar_digest(act::sigmoid), SIGMOID.0);
-    check("sigmoid_inplace", kernel_digest(act::sigmoid_inplace), SIGMOID.0);
+    check_kernel_paths("sigmoid_inplace", act::sigmoid_inplace, SIGMOID.0);
 }
 
 #[test]
 #[ignore = "all 2^32 inputs: run in release with --ignored"]
 fn tanh_all_inputs() {
     check("tanh", scalar_digest(act::tanh), TANH.0);
-    check("tanh_inplace", kernel_digest(act::tanh_inplace), TANH.0);
+    check_kernel_paths("tanh_inplace", act::tanh_inplace, TANH.0);
 }
 
 #[test]
