@@ -57,9 +57,11 @@ pub trait AnomalyDetector: Send + Sync {
     /// [`AnomalyDetector::score`] once per stream. The default keeps that
     /// trivially true by fanning the streams out over up to `threads`
     /// workers in stream order ([`crate::par::par_blocks`]); detectors
-    /// whose forward math is row-independent (the LSTM) override this to
-    /// coalesce all streams' windows into a few large GEMM passes and
-    /// scatter the per-window scores back in stream order.
+    /// whose forward math is row-independent (the recurrent
+    /// [`crate::seq_detector::SeqDetector`]) override this to run all
+    /// streams' windows, in stream order, through a few large GEMM
+    /// passes in fixed chunks. Each worker builds the windows of the
+    /// chunks it scores, so no group-wide window set is held.
     fn score_batch(
         &self,
         streams: &[&LogStream],

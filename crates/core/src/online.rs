@@ -92,11 +92,8 @@ struct WindowBufs {
     /// window that holds it.
     ids: Vec<usize>,
     gaps: Vec<f32>,
-    /// The windows to score.
+    /// The windows to score, written into rows earlier batches kept.
     ws: WindowSet,
-    /// Window rows of earlier batches, refilled for this one's.
-    spare_ids: Vec<Vec<usize>>,
-    spare_gaps: Vec<Vec<f32>>,
     /// Batch index of each scored window's target, for peak_text.
     scored_pos: Vec<usize>,
 }
@@ -212,7 +209,7 @@ impl OnlineMonitor {
         self.messages_seen += messages.len() as u64;
         let window = self.detector.window();
         let mut bufs = mem::take(&mut self.bufs);
-        let WindowBufs { batch, ids, gaps, ws, spare_ids, spare_gaps, scored_pos } = &mut bufs;
+        let WindowBufs { batch, ids, gaps, ws, scored_pos } = &mut bufs;
 
         // Monotonicize and encode the batch. A late message is treated
         // as happening "now" (retransmits and multi-process interleaving
@@ -243,10 +240,7 @@ impl OnlineMonitor {
         let stride = self.stride as u64;
         let mut phase = self.stride_phase;
         let mut stride_skipped = 0u64;
-        spare_ids.append(&mut ws.ids);
-        spare_gaps.append(&mut ws.gaps);
-        ws.targets.clear();
-        ws.times.clear();
+        ws.clear();
         scored_pos.clear();
         for (pos, record) in batch.iter().enumerate() {
             let g = ctx + pos; // combined index of the target record
@@ -259,16 +253,12 @@ impl OnlineMonitor {
                 stride_skipped += 1;
                 continue;
             }
-            let mut row = spare_ids.pop().unwrap_or_default();
-            row.clear();
-            row.extend_from_slice(&ids[g - window..g]);
-            ws.ids.push(row);
-            let mut row = spare_gaps.pop().unwrap_or_default();
-            row.clear();
-            row.extend_from_slice(&gaps[g - window..g]);
-            ws.gaps.push(row);
-            ws.targets.push(record.template);
-            ws.times.push(record.time);
+            ws.push(
+                ids[g - window..g].iter().copied(),
+                gaps[g - window..g].iter().copied(),
+                record.template,
+                record.time,
+            );
             scored_pos.push(pos);
         }
         self.stride_phase = phase;

@@ -38,14 +38,83 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
 use std::cell::RefCell;
+use std::ops::Range;
+
+/// Windows per forward-pass chunk. Chunk boundaries are fixed multiples
+/// of this in a pass's window order, whatever the thread count.
+const CHUNK: usize = 512;
+
+/// The buffers every scoring call on one thread runs its chunks through,
+/// whatever the detector, cell or model shape: they grow to the largest
+/// chunk the thread has scored and are reused after. A scratch per
+/// detector would keep one such high-water set alive per group model,
+/// which a fleet pays for in resident memory.
+#[derive(Default)]
+struct ScoreScratch {
+    infer: InferScratch,
+    /// The chunk's window indices into the set it reads.
+    idx: Vec<usize>,
+    /// The windows of a stream chunk, and the gap feature of each record
+    /// they hold.
+    rows: WindowSet,
+    gaps: Vec<f32>,
+}
 
 thread_local! {
-    /// The inference buffers and chunk indices of every scoring call on
-    /// this thread, whatever the detector, cell or model shape: they grow
-    /// to the largest chunk the thread has scored and are reused after.
-    /// A scratch per detector would keep one such high-water set alive
-    /// per group model, which a fleet pays for in resident memory.
-    static SCORE_SCRATCH: RefCell<(InferScratch, Vec<usize>)> = RefCell::default();
+    static SCORE_SCRATCH: RefCell<ScoreScratch> = RefCell::default();
+}
+
+/// Where a scoring pass reads its windows.
+#[derive(Clone, Copy)]
+enum Windows<'a> {
+    /// A prebuilt set: one part, the set in order.
+    Built(&'a WindowSet),
+    /// The windows of each stream's target range (see
+    /// [`LogStream::window_targets`]), stream after stream: one part per
+    /// stream. Each chunk builds its own windows.
+    Streams { k: usize, streams: &'a [&'a LogStream], targets: &'a [Range<usize>] },
+}
+
+impl<'a> Windows<'a> {
+    /// The set holding windows `chunk` of this source's window order
+    /// (`ends` as in [`SeqDetector::score_chunks`]), and their indices in
+    /// it in `idx`: a prebuilt set itself, or `rows`, rebuilt from the
+    /// streams with `gaps` as their gap buffer.
+    fn chunk<'r>(
+        self,
+        ends: &[usize],
+        chunk: Range<usize>,
+        idx: &mut Vec<usize>,
+        rows: &'r mut WindowSet,
+        gaps: &mut Vec<f32>,
+    ) -> &'r WindowSet
+    where
+        'a: 'r,
+    {
+        idx.clear();
+        match self {
+            Windows::Built(ws) => {
+                idx.extend(chunk);
+                ws
+            }
+            Windows::Streams { k, streams, targets } => {
+                rows.clear();
+                let mut m = ends.partition_point(|&e| e <= chunk.start);
+                let mut at = chunk.start;
+                while at < chunk.end {
+                    // Stream m's windows are [ends[m] - len, ends[m]).
+                    let skip = at + targets[m].len() - ends[m];
+                    let take = ends[m].min(chunk.end) - at;
+                    let t0 = targets[m].start + skip;
+                    streams[m].push_windows(k, t0..t0 + take, gaps, rows, |_| true);
+                    at += take;
+                    m += 1;
+                }
+                idx.extend(0..rows.len());
+                rows
+            }
+        }
+    }
 }
 
 /// Hyper-parameters of [`SeqDetector`], shared by every cell.
@@ -261,59 +330,86 @@ impl<C: RecurrentCell> SeqDetector<C> {
         }
     }
 
-    /// Runs batched inference over `ws` in fixed 512-window chunks fanned
-    /// out across the configured worker threads, mapping every window
-    /// through `f(global_window_index, target, probs_row)` and returning
-    /// the results in window order.
+    /// Runs the inference pass over every window of `src` in fixed
+    /// [`CHUNK`]-window chunks fanned out over up to `threads` workers,
+    /// mapping each window through `f(target, time, probs_row)`. `ends`
+    /// holds the exclusive end of each of `src`'s parts in its window
+    /// order; the result is one vector per part, in window order.
     ///
     /// Chunk boundaries are fixed and each output row depends only on its
     /// own window (the forward math is row-independent), so the result is
     /// bit-identical to a serial pass for any thread count. Each worker,
-    /// and the calling thread, runs its chunks through its thread's
-    /// scoring scratch.
-    fn predict_map<R: Send>(
+    /// and the calling thread, builds and scores its chunks in its
+    /// thread's [`ScoreScratch`], and writes each part's results straight
+    /// into that part's vector; only a part that a worker's block
+    /// boundary cuts is joined afterwards.
+    fn score_chunks<R: Send>(
         &self,
-        ws: &WindowSet,
-        f: impl Fn(usize, usize, &[f32]) -> R + Sync,
-    ) -> Vec<R> {
-        self.predict_map_threads(ws, self.threads(), f)
-    }
-
-    /// [`SeqDetector::predict_map`] with an explicit worker count —
-    /// the cross-vPE batched path passes the fleet-level fan-out here
-    /// instead of the detector's own configured threads. Any value
-    /// yields the same bits.
-    fn predict_map_threads<R: Send>(
-        &self,
-        ws: &WindowSet,
+        src: Windows<'_>,
+        ends: &[usize],
         threads: usize,
-        f: impl Fn(usize, usize, &[f32]) -> R + Sync,
-    ) -> Vec<R> {
-        const CHUNK: usize = 512;
-        let view = SeqView { ids: &ws.ids, gaps: &ws.gaps, targets: &[] };
-        let starts: Vec<usize> = (0..ws.len()).step_by(CHUNK).collect();
-        par::par_blocks(&starts, threads, |_, block| {
+        f: impl Fn(usize, u64, &[f32]) -> R + Sync,
+    ) -> Vec<Vec<R>> {
+        let mut out: Vec<Vec<R>> = ends.iter().map(|_| Vec::new()).collect();
+        let n = ends.last().copied().unwrap_or(0);
+        if n == 0 {
+            return out;
+        }
+        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
+        let pieces = par::par_blocks(&starts, threads, |_, block| {
+            let block_end = (block[block.len() - 1] + CHUNK).min(n);
+            // The block's results, cut where a part ends: (part, results).
+            let mut pieces = Vec::new();
+            let mut next = block[0]; // window-order index of the next result
+            let mut part = ends.partition_point(|&e| e <= next);
+            let mut piece = Vec::with_capacity(ends[part].min(block_end) - next);
             // Nothing below scores again on this thread (nested pool
             // regions run GEMM panels only), so the borrow cannot clash.
-            SCORE_SCRATCH.with_borrow_mut(|(scratch, chunk)| {
-                let mut out = Vec::new();
+            SCORE_SCRATCH.with_borrow_mut(|s| {
                 for &start in block {
-                    chunk.clear();
-                    chunk.extend(start..(start + CHUNK).min(ws.len()));
-                    let probs = self.model.predict_probs_view(&view, chunk, scratch);
-                    for (row, &global_idx) in chunk.iter().enumerate() {
-                        out.push(f(global_idx, ws.targets[global_idx], probs.row(row)));
+                    let chunk = start..(start + CHUNK).min(n);
+                    let ws = src.chunk(ends, chunk, &mut s.idx, &mut s.rows, &mut s.gaps);
+                    let view = SeqView { ids: &ws.ids, gaps: &ws.gaps, targets: &[] };
+                    let probs = self.model.predict_probs_view(&view, &s.idx, &mut s.infer);
+                    for (row, &i) in s.idx.iter().enumerate() {
+                        while next == ends[part] {
+                            pieces.push((part, std::mem::take(&mut piece)));
+                            part += 1;
+                            piece = Vec::with_capacity(ends[part].min(block_end) - next);
+                        }
+                        piece.push(f(ws.targets[i], ws.times[i], probs.row(row)));
+                        next += 1;
                     }
                 }
-                out
-            })
-        })
+            });
+            pieces.push((part, piece));
+            pieces
+        });
+        for (part, mut piece) in pieces {
+            if out[part].is_empty() {
+                out[part] = piece;
+            } else {
+                out[part].append(&mut piece);
+            }
+        }
+        out
+    }
+
+    /// [`SeqDetector::score_chunks`] over one prebuilt set on the
+    /// detector's own threads.
+    fn score_built<R: Send>(
+        &self,
+        ws: &WindowSet,
+        f: impl Fn(usize, u64, &[f32]) -> R + Sync,
+    ) -> Vec<R> {
+        let mut parts = self.score_chunks(Windows::Built(ws), &[ws.len()], self.threads(), f);
+        parts.pop().expect("one part")
     }
 
     /// Indices of training windows whose target is outside the model's
     /// top-g predictions (the "minority normal patterns" of §4.2).
     fn misclassified(&self, ws: &WindowSet) -> Vec<usize> {
-        let missed = self.predict_map(ws, |_, target, probs| {
+        let missed = self.score_built(ws, |target, _, probs| {
             let top = nfv_tensor::vecops::top_k(probs, self.cfg.top_g);
             !top.contains(&target)
         });
@@ -348,17 +444,6 @@ impl<C: RecurrentCell> SeqDetector<C> {
             self.train_on_indices(&ws, &mix, 1, self.cfg.lr * 0.5);
         }
     }
-
-    /// Training false-positive rate on a window set (fraction of normal
-    /// windows flagged at the top-g rule) — exposed for tests and the
-    /// adaptation trigger.
-    pub fn training_fp_rate(&self, streams: &[&LogStream]) -> f32 {
-        let ws = self.collect_windows(streams);
-        if ws.is_empty() {
-            return 0.0;
-        }
-        self.misclassified(&ws).len() as f32 / ws.len() as f32
-    }
 }
 
 impl<C: RecurrentCell> WindowScorer for SeqDetector<C> {
@@ -369,11 +454,14 @@ impl<C: RecurrentCell> WindowScorer for SeqDetector<C> {
     /// Windows fan out through the same fixed-chunk batched forward pass
     /// as [`AnomalyDetector::score`].
     fn score_events(&self, ws: &WindowSet) -> Vec<ScoredEvent> {
-        self.predict_map(ws, |global_idx, target, probs| {
-            let p = probs[target].max(1e-9);
-            ScoredEvent { time: ws.times[global_idx], score: -act::ln(p) }
-        })
+        self.score_built(ws, score_event)
     }
+}
+
+/// A window's anomaly score: the negative log-likelihood of its target.
+fn score_event(target: usize, time: u64, probs: &[f32]) -> ScoredEvent {
+    let p = probs[target].max(1e-9);
+    ScoredEvent { time, score: -act::ln(p) }
 }
 
 impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
@@ -411,15 +499,15 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
         self.score_events(&ws)
     }
 
-    /// Cross-vPE batched scoring: every stream's windows are gathered
-    /// into one [`WindowSet`] and run through a single chunked forward
-    /// pass, so a 10k-vPE group costs a handful of large GEMM calls
-    /// instead of 10k small ones. The forward math is row-independent
-    /// (each probability row depends only on its own window — see
-    /// [`SeqDetector::predict_map_threads`]), and windows are gathered
-    /// in ascending stream order, so scattering the flat score vector
-    /// back by per-stream counts reproduces the one-stream-at-a-time
-    /// path bit for bit.
+    /// Cross-vPE batched scoring: the streams' windows, in ascending
+    /// stream order, run as one chunked forward pass, so a 10k-vPE group
+    /// costs a handful of large GEMM calls instead of 10k small ones. No
+    /// group-wide window set exists: each worker builds the windows of
+    /// the chunks it scores from the streams' target ranges (see
+    /// `SeqDetector::score_chunks`). The forward math is
+    /// row-independent, and a window built in a chunk equals the one
+    /// [`LogStream::windows_in`] builds, so each stream's scores equal
+    /// the one-stream-at-a-time path bit for bit.
     fn score_batch(
         &self,
         streams: &[&LogStream],
@@ -427,28 +515,18 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
         end: u64,
         threads: usize,
     ) -> Vec<Vec<ScoredEvent>> {
-        let mut all = WindowSet::default();
-        let mut counts = Vec::with_capacity(streams.len());
-        for s in streams {
-            let before = all.len();
-            all.extend(s.windows_in(self.cfg.window, start, end, |_| true));
-            counts.push(all.len() - before);
-        }
-        let flat = self.predict_map_threads(
-            &all,
-            par::effective_threads(threads, usize::MAX),
-            |global_idx, target, probs| {
-                let p = probs[target].max(1e-9);
-                ScoredEvent { time: all.times[global_idx], score: -act::ln(p) }
-            },
-        );
-        let mut out = Vec::with_capacity(streams.len());
-        let mut off = 0;
-        for c in counts {
-            out.push(flat[off..off + c].to_vec());
-            off += c;
-        }
-        out
+        let k = self.cfg.window;
+        let targets: Vec<Range<usize>> =
+            streams.iter().map(|s| s.window_targets(k, start, end)).collect();
+        let ends: Vec<usize> = targets
+            .iter()
+            .scan(0, |n, t| {
+                *n += t.len();
+                Some(*n)
+            })
+            .collect();
+        let src = Windows::Streams { k, streams, targets: &targets };
+        self.score_chunks(src, &ends, par::effective_threads(threads, usize::MAX), score_event)
     }
 
     fn to_state(&self) -> Value {
@@ -610,12 +688,22 @@ mod tests {
         );
     }
 
+    /// Fraction of the windows of `streams` that `det` misclassifies at
+    /// the top-g rule: the training false-positive rate.
+    fn training_fp_rate<C: RecurrentCell>(det: &SeqDetector<C>, streams: &[&LogStream]) -> f32 {
+        let ws = det.collect_windows(streams);
+        if ws.is_empty() {
+            return 0.0;
+        }
+        det.misclassified(&ws).len() as f32 / ws.len() as f32
+    }
+
     fn fit_reduces_training_fp_rate<C: RecurrentCell>() {
         let train = training_stream(1500, 3);
         let mut det = SeqDetector::<C>::new(tiny_cfg());
-        let before = det.training_fp_rate(&[&train]);
+        let before = training_fp_rate(&det, &[&train]);
         det.fit(&[&train]);
-        let after = det.training_fp_rate(&[&train]);
+        let after = training_fp_rate(&det, &[&train]);
         assert!(after < before * 0.6, "fp rate {} -> {}", before, after);
         assert!(after < 0.15, "post-fit fp rate {}", after);
     }
@@ -641,9 +729,9 @@ mod tests {
         let shifted = LogStream::from_records(
             (0..400).map(|i| LogRecord { time: i as u64 * 30, template: 6 + (i % 2) }).collect(),
         );
-        let fp_before = det.training_fp_rate(&[&shifted]);
+        let fp_before = training_fp_rate(&det, &[&shifted]);
         det.adapt(&[&shifted]);
-        let fp_after = det.training_fp_rate(&[&shifted]);
+        let fp_after = training_fp_rate(&det, &[&shifted]);
         assert!(
             fp_after < fp_before * 0.5,
             "adaptation should cut the false-alarm surge: {} -> {}",
@@ -768,6 +856,87 @@ mod tests {
                 let batched = d.score_batch(&refs, 0, u64::MAX, threads);
                 assert_eq!(&batched, want, "{} score_batch at threads={}", d.name(), threads);
             }
+        }
+    }
+
+    /// Records in a stream of length class `class` for window `k`: none,
+    /// fewer than `k`, `k` (no window), `k + 1` (one window), up to a few
+    /// hundred windows, or more than a chunk of them.
+    fn class_len(class: usize, k: usize, draw: usize) -> usize {
+        match class {
+            0 => 0,
+            1 => 1 + draw % (k - 1),
+            2 => k,
+            3 => k + 1,
+            4 => k + 2 + draw % 300,
+            _ => k + CHUNK + 1 + draw % 700,
+        }
+    }
+
+    /// `score_batch` over a group of `shape`'s streams (length class,
+    /// length draw, time offset) and a `[start, end)` picked by `cut`
+    /// (each end before, inside or after the streams, which start at
+    /// different times) equals per-stream `score` bit for bit at threads
+    /// 1, 2 and 4.
+    fn batch_equals_per_stream<C: RecurrentCell>(
+        shape: &[(usize, usize, u64)],
+        cut: (usize, usize, u64, u64),
+        seed: u64,
+    ) {
+        let det = SeqDetector::<C>::new(SeqDetectorConfig { seed, ..tiny_cfg() });
+        let k = det.cfg.window;
+        let streams: Vec<LogStream> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(class, draw, offset))| {
+                let base = training_stream(class_len(class, k, draw), seed + i as u64);
+                let shifted =
+                    base.records().iter().map(|r| LogRecord { time: r.time + offset, ..*r });
+                LogStream::from_records(shifted.collect())
+            })
+            .collect();
+        let refs: Vec<&LogStream> = streams.iter().collect();
+        let last = streams.iter().filter_map(|s| s.records().last()).map(|r| r.time).max();
+        let after = last.map_or(1, |t| t + 1);
+        let (start_at, end_at, a, b) = cut;
+        let (a, b) = ((a % after).min(b % after), (a % after).max(b % after));
+        let start = [0, a, a, after][start_at];
+        let end = [b, b, after, u64::MAX][end_at];
+        let bits = |events: &[Vec<ScoredEvent>]| -> Vec<Vec<(u64, u32)>> {
+            events.iter().map(|e| e.iter().map(|e| (e.time, e.score.to_bits())).collect()).collect()
+        };
+        let per_stream: Vec<Vec<ScoredEvent>> =
+            refs.iter().map(|s| det.score(s, start, end)).collect();
+        for threads in [1, 2, 4] {
+            let batched = det.score_batch(&refs, start, end, threads);
+            assert_eq!(
+                bits(&batched),
+                bits(&per_stream),
+                "threads {threads}, [{start}, {end}), {} windows",
+                per_stream.iter().map(Vec::len).sum::<usize>()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lstm_score_batch_equals_per_stream_across_chunk_boundaries(
+            shape in proptest::prop::collection::vec((0usize..6, 0usize..1000, 0u64..20_000), 0..=6),
+            cut in (0usize..4, 0usize..4, 0u64..u64::MAX, 0u64..u64::MAX),
+            seed in 0u64..1000,
+        ) {
+            batch_equals_per_stream::<nfv_nn::LstmLayer>(&shape, cut, seed);
+        }
+
+        #[test]
+        fn gru_score_batch_equals_per_stream_across_chunk_boundaries(
+            shape in proptest::prop::collection::vec((0usize..6, 0usize..1000, 0u64..20_000), 0..=6),
+            cut in (0usize..4, 0usize..4, 0u64..u64::MAX, 0u64..u64::MAX),
+            seed in 0u64..1000,
+        ) {
+            batch_equals_per_stream::<nfv_nn::GruLayer>(&shape, cut, seed);
         }
     }
 

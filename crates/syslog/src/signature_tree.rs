@@ -90,7 +90,54 @@ impl Signature {
 #[derive(Debug, Clone, Default)]
 pub struct SignatureTree {
     signatures: Vec<Signature>,
+    /// Each signature's [`Signature::literal_count`], by id.
+    literals: Vec<usize>,
     by_len: HashMap<usize, Vec<usize>>,
+}
+
+/// Words a message keeps on the stack while it is matched; a longer
+/// message moves them to the heap.
+const STACK_WORDS: usize = 40;
+
+/// The whitespace-separated words of a message body, exactly as
+/// `str::split_whitespace` yields them: [`SignatureTree::build`] and
+/// [`SignatureTree::match_message`] tokenize through this one function.
+/// ASCII text is split byte by byte on the bytes `char::is_whitespace`
+/// accepts below 0x80 (0x09–0x0D and 0x20; not the 0x1C–0x1F separators);
+/// other text goes through `split_whitespace`.
+fn words(text: &str) -> Words<'_> {
+    if text.is_ascii() {
+        Words::Ascii { text, at: 0 }
+    } else {
+        Words::Unicode(text.split_whitespace())
+    }
+}
+
+enum Words<'a> {
+    Ascii { text: &'a str, at: usize },
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Words::Ascii { text, at } => {
+                let is_space = |b: u8| matches!(b, b'\t'..=b'\r' | b' ');
+                let bytes = text.as_bytes();
+                let start = *at + bytes[*at..].iter().position(|&b| !is_space(b))?;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| is_space(b))
+                    .map_or(bytes.len(), |n| start + n);
+                *at = end;
+                // Every byte of ASCII text is a char boundary.
+                Some(&text[start..end])
+            }
+            Words::Unicode(split) => split.next(),
+        }
+    }
 }
 
 /// A token is variable-looking when it contains a digit (numbers, IPs,
@@ -109,8 +156,7 @@ impl SignatureTree {
             "SignatureTree: split_support must be in [0, 1]"
         );
         // Tokenize and group by token count.
-        let tokenized: Vec<Vec<&str>> =
-            corpus.iter().map(|m| m.split_whitespace().collect()).collect();
+        let tokenized: Vec<Vec<&str>> = corpus.iter().map(|m| words(m).collect()).collect();
         let mut by_count: HashMap<usize, Vec<usize>> = HashMap::new();
         for (i, words) in tokenized.iter().enumerate() {
             if !words.is_empty() {
@@ -137,7 +183,9 @@ impl SignatureTree {
                 return;
             }
         }
-        self.signatures.push(Signature { id, tokens });
+        let sig = Signature { id, tokens };
+        self.literals.push(sig.literal_count());
+        self.signatures.push(sig);
         self.by_len.entry(len).or_default().push(id);
     }
 
@@ -163,13 +211,27 @@ impl SignatureTree {
 
     /// Maps a raw message body to the most specific matching signature.
     pub fn match_message(&self, text: &str) -> Option<usize> {
-        let words: Vec<&str> = text.split_whitespace().collect();
+        let mut stack = [""; STACK_WORDS];
+        let mut heap = Vec::new();
+        let mut n = 0;
+        for w in words(text) {
+            if n < STACK_WORDS {
+                stack[n] = w;
+            } else {
+                if n == STACK_WORDS {
+                    heap.extend_from_slice(&stack);
+                }
+                heap.push(w);
+            }
+            n += 1;
+        }
+        let words = if n <= STACK_WORDS { &stack[..n] } else { &heap[..] };
         let candidates = self.by_len.get(&words.len())?;
         candidates
             .iter()
             .copied()
-            .filter(|&id| self.signatures[id].matches(&words))
-            .max_by_key(|&id| self.signatures[id].literal_count())
+            .filter(|&id| self.signatures[id].matches(words))
+            .max_by_key(|&id| self.literals[id])
     }
 }
 
@@ -339,6 +401,70 @@ mod tests {
         let tree = SignatureTree::build(&[], &SignatureTreeConfig::default());
         assert!(tree.is_empty());
         assert_eq!(tree.match_message("anything at all"), None);
+    }
+
+    /// `match_message` as it was before the shared tokenizer: a fresh
+    /// `Vec` from `split_whitespace`, literal counts recounted per
+    /// candidate.
+    fn match_by_split_whitespace(tree: &SignatureTree, text: &str) -> Option<usize> {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        let candidates = tree.by_len.get(&words.len())?;
+        candidates
+            .iter()
+            .copied()
+            .filter(|&id| tree.signatures[id].matches(&words))
+            .max_by_key(|&id| tree.signatures[id].literal_count())
+    }
+
+    /// Words (the last two non-ASCII) and separators (the first ten
+    /// ASCII: the six `char::is_whitespace` accepts, then 0x1C–0x1F,
+    /// which it does not; then U+0085, U+00A0 and U+3000).
+    const WORDS: [&str; 8] =
+        ["link", "up", "down", "port", "x9", "*", "\u{e9}t\u{e9}", "a\u{2003}b"];
+    const SEPS: [&str; 13] = [
+        " ", "\t", "\n", "\r", "\u{0B}", "\u{0C}", "\u{1C}", "\u{1D}", "\u{1E}", "\u{1F}",
+        "\u{85}", "\u{A0}", "\u{3000}",
+    ];
+
+    /// A line of `parts`, each (word, separator, repeats): `repeats`
+    /// separators, then the word. An ASCII line draws only ASCII words
+    /// and separators.
+    fn render(ascii: bool, parts: &[(usize, usize, usize)]) -> String {
+        let (words, seps) = if ascii { (6, 10) } else { (WORDS.len(), SEPS.len()) };
+        let mut line = String::new();
+        for &(w, sep, repeats) in parts {
+            for _ in 0..repeats {
+                line.push_str(SEPS[sep % seps]);
+            }
+            line.push_str(WORDS[w % words]);
+        }
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tokenizer_matches_split_whitespace_and_the_old_match(
+            lines in proptest::prop::collection::vec(
+                (
+                    (0usize..2).prop_map(|a| a == 1),
+                    proptest::prop::collection::vec((0usize..8, 0usize..13, 0usize..3), 0..90),
+                ),
+                1..8,
+            ),
+        ) {
+            let texts: Vec<String> = lines.iter().map(|(ascii, parts)| render(*ascii, parts)).collect();
+            let tree = build_default(&texts);
+            for text in &texts {
+                let want: Vec<&str> = text.split_whitespace().collect();
+                proptest::prop_assert_eq!(words(text).collect::<Vec<_>>(), want.clone());
+                proptest::prop_assert_eq!(tree.match_message(text), match_by_split_whitespace(&tree, text));
+                // The same words joined by single spaces match the same way.
+                let plain = want.join(" ");
+                proptest::prop_assert_eq!(tree.match_message(&plain), match_by_split_whitespace(&tree, &plain));
+            }
+        }
     }
 
     #[test]

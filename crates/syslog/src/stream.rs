@@ -6,6 +6,7 @@
 //! (§4.2 of the paper).
 
 use crate::time::{month_index, DAY};
+use std::ops::Range;
 
 /// One structured log record: a template occurrence at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +34,11 @@ pub fn gap_feature(gap_seconds: u64) -> f32 {
 /// Fixed-length windows extracted from a stream, ready for the sequence
 /// model: window `i` covers `ids[i]`/`gaps[i]` and the training target is
 /// `targets[i]`, the template that actually followed at `times[i]`.
+///
+/// The set is also the one row-reusing window writer: [`WindowSet::clear`]
+/// keeps the rows it empties, and [`WindowSet::push`] refills them, so a
+/// set rebuilt batch after batch (a scoring chunk, a serving batch)
+/// allocates no rows once it has grown to its largest batch.
 #[derive(Debug, Clone, Default)]
 pub struct WindowSet {
     /// Template-id windows.
@@ -43,6 +49,9 @@ pub struct WindowSet {
     pub targets: Vec<usize>,
     /// Timestamp of each target record.
     pub times: Vec<u64>,
+    /// Rows emptied by [`WindowSet::clear`], refilled by [`WindowSet::push`].
+    spare_ids: Vec<Vec<usize>>,
+    spare_gaps: Vec<Vec<f32>>,
 }
 
 impl WindowSet {
@@ -54,6 +63,35 @@ impl WindowSet {
     /// True when no window was extracted.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// Removes every window, keeping the rows for later [`WindowSet::push`]es.
+    pub fn clear(&mut self) {
+        self.spare_ids.append(&mut self.ids);
+        self.spare_gaps.append(&mut self.gaps);
+        self.targets.clear();
+        self.times.clear();
+    }
+
+    /// Appends one window, writing it into a row an earlier
+    /// [`WindowSet::clear`] kept when there is one.
+    pub fn push(
+        &mut self,
+        ids: impl IntoIterator<Item = usize>,
+        gaps: impl IntoIterator<Item = f32>,
+        target: usize,
+        time: u64,
+    ) {
+        let mut row = self.spare_ids.pop().unwrap_or_default();
+        row.clear();
+        row.extend(ids);
+        self.ids.push(row);
+        let mut row = self.spare_gaps.pop().unwrap_or_default();
+        row.clear();
+        row.extend(gaps);
+        self.gaps.push(row);
+        self.targets.push(target);
+        self.times.push(time);
     }
 
     /// Appends all windows of `other`.
@@ -72,6 +110,7 @@ impl WindowSet {
             gaps: indices.iter().map(|&i| self.gaps[i].clone()).collect(),
             targets: indices.iter().map(|&i| self.targets[i]).collect(),
             times: indices.iter().map(|&i| self.times[i]).collect(),
+            ..WindowSet::default()
         }
     }
 }
@@ -162,27 +201,54 @@ impl LogStream {
         k: usize,
         start: u64,
         end: u64,
-        mut filter: impl FnMut(&LogRecord) -> bool,
+        filter: impl FnMut(&LogRecord) -> bool,
     ) -> WindowSet {
-        assert!(k >= 1, "windows_in: window length must be >= 1");
         let mut out = WindowSet::default();
+        self.push_windows(k, self.window_targets(k, start, end), &mut Vec::new(), &mut out, filter);
+        out
+    }
+
+    /// The target records of [`LogStream::windows_in`]'s windows for
+    /// `[start, end)`, as a range of record indices: every target in it
+    /// has `k` predecessors. Empty when no window qualifies.
+    pub fn window_targets(&self, k: usize, start: u64, end: u64) -> Range<usize> {
+        assert!(k >= 1, "window_targets: window length must be >= 1");
         // Records are time-sorted, so the targets in [start, end) are one
-        // contiguous run, and their windows lie in records[lo - k..hi - 1].
+        // contiguous run.
         let lo = self.records.partition_point(|r| r.time < start).max(k);
         let hi = self.records.partition_point(|r| r.time < end);
-        if lo >= hi {
-            return out;
+        lo..hi.max(lo)
+    }
+
+    /// Appends to `out` the window of every target record in `targets`
+    /// (a sub-range of [`LogStream::window_targets`]) that `filter`
+    /// keeps, in record order. Each record's gap feature is computed once
+    /// into `gaps`, a caller-kept buffer, and copied into the `k` windows
+    /// that hold it.
+    pub fn push_windows(
+        &self,
+        k: usize,
+        targets: Range<usize>,
+        gaps: &mut Vec<f32>,
+        out: &mut WindowSet,
+        mut filter: impl FnMut(&LogRecord) -> bool,
+    ) {
+        if targets.is_empty() {
+            return;
         }
-        // Each record's gap feature, computed once for the k windows that
-        // hold it.
-        let first = lo - k;
-        let gaps: Vec<f32> = (first..hi - 1).map(|i| self.gap_of(i)).collect();
-        for t in lo..hi {
+        assert!(
+            k >= 1 && targets.start >= k && targets.end <= self.records.len(),
+            "push_windows: targets {targets:?} need {k} predecessors each"
+        );
+        // The windows lie in records[first..targets.end - 1].
+        let first = targets.start - k;
+        gaps.clear();
+        gaps.extend((first..targets.end - 1).map(|i| self.gap_of(i)));
+        for t in targets {
             if filter(&self.records[t]) {
-                self.push_window(&mut out, k, t, |i| gaps[i - first]);
+                self.push_window(out, k, t, |i| gaps[i - first]);
             }
         }
-        out
     }
 
     /// All windows of the stream (no time restriction or filter).
@@ -192,15 +258,13 @@ impl LogStream {
 
     /// Number of windows [`LogStream::windows`] extracts.
     pub fn window_count(&self, k: usize) -> usize {
-        let hi = self.records.partition_point(|r| r.time < u64::MAX);
-        hi.saturating_sub(k)
+        self.window_targets(k, 0, u64::MAX).len()
     }
 
     /// Appends window `i` of [`LogStream::windows`] (`i <` [`LogStream::window_count`])
     /// to `out`, equal to the one `windows` builds, without building the
     /// others.
     pub fn push_window_at(&self, k: usize, i: usize, out: &mut WindowSet) {
-        assert!(k >= 1, "push_window_at: window length must be >= 1");
         assert!(i < self.window_count(k), "push_window_at: window {i} out of range");
         self.push_window(out, k, k + i, |j| self.gap_of(j));
     }
@@ -215,10 +279,12 @@ impl LogStream {
     /// as its target; `gap(j)` is record `j`'s gap feature.
     fn push_window(&self, out: &mut WindowSet, k: usize, t: usize, gap: impl Fn(usize) -> f32) {
         let target = &self.records[t];
-        out.ids.push(self.records[t - k..t].iter().map(|r| r.template).collect());
-        out.gaps.push((t - k..t).map(gap).collect());
-        out.targets.push(target.template);
-        out.times.push(target.time);
+        out.push(
+            self.records[t - k..t].iter().map(|r| r.template),
+            (t - k..t).map(gap),
+            target.template,
+            target.time,
+        );
     }
 
     /// Splits the stream into per-month sub-streams keyed by the
