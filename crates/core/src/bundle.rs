@@ -414,6 +414,21 @@ mod tests {
         ModelBundle::from_envelope_str(&text)?.try_unpack().map(|_| ())
     }
 
+    /// Model dims that no stored matrix backs are a typed error, also
+    /// in a bundle whose checksum is valid: vocabularies of 2^62 and
+    /// 2^33, a hidden width of 2^62 and 2^40 layers.
+    #[test]
+    fn oversized_model_dims_are_typed_errors() {
+        for (dim, value) in [(0, 1usize << 62), (2, 1 << 62), (0, 1 << 33), (3, 1 << 40)] {
+            let mut bundle = small_bundle();
+            bundle.model.dims[dim] = value;
+            match unpack_sealed(&bundle) {
+                Err(CheckpointError::Invalid(_)) => {}
+                other => panic!("dims[{dim}] = {value}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn zero_window_is_a_typed_error() {
         let mut bundle = small_bundle();

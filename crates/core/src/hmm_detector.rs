@@ -103,7 +103,7 @@ impl AnomalyDetector for HmmDetector {
 
     fn score(&self, stream: &LogStream, start: u64, end: u64) -> Vec<ScoredEvent> {
         let Some(model) = &self.model else { return Vec::new() };
-        let ws = stream.windows_in(self.cfg.window, start, end, |_| true);
+        let ws = stream.windows_in(self.cfg.window, start, end);
         ws.ids
             .iter()
             .zip(ws.targets.iter())

@@ -106,7 +106,7 @@ impl<'a> Windows<'a> {
                     let skip = at + targets[m].len() - ends[m];
                     let take = ends[m].min(chunk.end) - at;
                     let t0 = targets[m].start + skip;
-                    streams[m].push_windows(k, t0..t0 + take, gaps, rows, |_| true);
+                    streams[m].push_windows(k, t0..t0 + take, gaps, rows);
                     at += take;
                     m += 1;
                 }
@@ -495,7 +495,7 @@ impl<C: RecurrentCell> AnomalyDetector for SeqDetector<C> {
     }
 
     fn score(&self, stream: &LogStream, start: u64, end: u64) -> Vec<ScoredEvent> {
-        let ws = stream.windows_in(self.cfg.window, start, end, |_| true);
+        let ws = stream.windows_in(self.cfg.window, start, end);
         self.score_events(&ws)
     }
 

@@ -140,11 +140,8 @@ impl Dense {
         }
         cache.x.matmul_tn_acc(&dz, dw);
         dz.sum_rows_acc(db);
-        let mut wt = ws.take(self.w.cols(), self.w.rows());
-        self.w.transpose_into(&mut wt);
-        dz.matmul_into(&wt, dx);
+        dz.matmul_nt_into(&self.w, dx);
         ws.recycle(dz);
-        ws.recycle(wt);
     }
 }
 

@@ -80,6 +80,7 @@ impl RecurrentCell for GruLayer {
     type Cache = GruSeqCache;
     const TAG: &'static str = "gru-sequence-model";
     const DETECTOR: &'static str = "gru";
+    const GATES: usize = 3;
 
     /// New layer with Xavier-initialized weights and zero bias.
     fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
@@ -182,7 +183,7 @@ impl RecurrentCell for GruLayer {
         &self,
         cache: &GruSeqCache,
         d_hs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        mut dxs: Option<&mut Vec<Matrix>>,
         grads: &mut [Matrix],
         ws: &mut Workspace,
     ) {
@@ -194,77 +195,86 @@ impl RecurrentCell for GruLayer {
         let t_len = cache.steps.len();
         let batch = cache.steps[0].x.rows();
         let hd = self.hidden;
-        let input = self.input_dim();
 
-        ws.ensure_seq(dxs, t_len, batch, input);
+        if let Some(dxs) = dxs.as_deref_mut() {
+            ws.ensure_seq(dxs, t_len, batch, self.input_dim());
+        }
         let mut dh = ws.take(batch, hd);
         let mut dzx = ws.take(batch, 3 * hd);
         let mut dzh = ws.take(batch, 3 * hd);
         let mut dh_next = ws.take_zeroed(batch, hd);
-        let mut tmp_wx = ws.take(input, 3 * hd);
-        let mut tmp_wh = ws.take(hd, 3 * hd);
         let mut tmp_db = ws.take(1, 3 * hd);
-        // Transpose the weights once so the per-step input/hidden
-        // gradients become plain matmuls over contiguous rows.
-        let mut wx_t = ws.take(3 * hd, input);
-        let mut wh_t = ws.take(3 * hd, hd);
-        self.wx.transpose_into(&mut wx_t);
-        self.wh.transpose_into(&mut wh_t);
+        // Wxᵀ (only when dL/dx is wanted) and Whᵀ, packed once so every
+        // step's input and hidden gradients run on the same panels.
+        let wx_t = dxs.is_some().then(|| ws.pack_transposed(&self.wx));
+        let wh_t = ws.pack_transposed(&self.wh);
 
         for t in (0..t_len).rev() {
             let step = &cache.steps[t];
-            // Total gradient reaching h_t.
-            dh.copy_from(&d_hs[t]);
-            dh.add_assign(&dh_next);
-
-            // Per-element gate gradients -> pre-activation gradients.
-            // Every element of dzx and dzh is overwritten each step.
+            // Per-element gate gradients -> pre-activation gradients, with
+            // dh = d_hs[t] + dh_next (the total gradient reaching h_t)
+            // formed in the same pass and kept for the carry below. Every
+            // element of dh, dzx and dzh is overwritten each step.
             for r in 0..batch {
                 let gates = step.gates.row(r);
-                for k in 0..hd {
-                    let rg = gates[k];
-                    let zg = gates[hd + k];
-                    let n = gates[2 * hd + k];
-                    let hn = step.hn.get(r, k);
-                    let dh_v = dh.get(r, k);
+                let (rg, zg, n) = (&gates[..hd], &gates[hd..2 * hd], &gates[2 * hd..]);
+                let (dzx_r, dzx_zn) = dzx.row_mut(r).split_at_mut(hd);
+                let (dzx_z, dzx_n) = dzx_zn.split_at_mut(hd);
+                let (dzh_r, dzh_zn) = dzh.row_mut(r).split_at_mut(hd);
+                let (dzh_z, dzh_n) = dzh_zn.split_at_mut(hd);
+                let dh_in = d_hs[t].row(r).iter().zip(dh_next.row(r));
+                let state = step.h_prev.row(r).iter().zip(step.hn.row(r));
+                let gates = rg.iter().zip(zg).zip(n);
+                let dzx = dzx_r.iter_mut().zip(dzx_z).zip(dzx_n);
+                let dzh = dzh_r.iter_mut().zip(dzh_z).zip(dzh_n);
+                for ((((dh_s, dh_n), (&h_prev, &hn)), ((&rg, &zg), &n)), ((dh, dzx), dzh)) in
+                    dh_in.zip(state).zip(gates).zip(dh.row_mut(r).iter_mut().zip(dzx).zip(dzh))
+                {
+                    let ((dzx_r, dzx_z), dzx_n) = dzx;
+                    let ((dzh_r, dzh_z), dzh_n) = dzh;
+                    let dh_v = dh_s + dh_n;
+                    *dh = dh_v;
 
                     // h = (1-z) n + z h_prev
-                    let da_z = dh_v * (step.h_prev.get(r, k) - n) * zg * (1.0 - zg);
+                    let da_z = dh_v * (h_prev - n) * zg * (1.0 - zg);
                     let dpre_n = dh_v * (1.0 - zg) * (1.0 - n * n);
                     let da_r = dpre_n * hn * rg * (1.0 - rg);
 
-                    let zx_row = dzx.row_mut(r);
-                    zx_row[k] = da_r;
-                    zx_row[hd + k] = da_z;
-                    zx_row[2 * hd + k] = dpre_n;
-                    let zh_row = dzh.row_mut(r);
-                    zh_row[k] = da_r;
-                    zh_row[hd + k] = da_z;
-                    zh_row[2 * hd + k] = dpre_n * rg;
+                    *dzx_r = da_r;
+                    *dzx_z = da_z;
+                    *dzx_n = dpre_n;
+                    *dzh_r = da_r;
+                    *dzh_z = da_z;
+                    *dzh_n = dpre_n * rg;
                 }
             }
 
-            step.x.matmul_tn_into(&dzx, &mut tmp_wx);
-            dwx.add_assign(&tmp_wx);
-            step.h_prev.matmul_tn_into(&dzh, &mut tmp_wh);
-            dwh.add_assign(&tmp_wh);
+            step.x.matmul_tn_add_once(&dzx, dwx);
+            step.h_prev.matmul_tn_add_once(&dzh, dwh);
             dzx.sum_rows_into(&mut tmp_db);
             db.add_assign(&tmp_db);
 
-            dzx.matmul_into(&wx_t, &mut dxs[t]);
-            // dh_prev = dzh Wh^T + the direct carry z * dh.
-            dzh.matmul_into(&wh_t, &mut dh_next);
-            for r in 0..batch {
-                let gates = step.gates.row(r);
-                for k in 0..hd {
-                    let v = dh_next.get(r, k) + dh.get(r, k) * gates[hd + k];
-                    dh_next.set(r, k, v);
+            if let (Some(dxs), Some(wx_t)) = (dxs.as_deref_mut(), &wx_t) {
+                dzx.matmul_packed_into(wx_t, &mut dxs[t]);
+            }
+            // dh_prev = dzh Wh^T + the direct carry z * dh; dL/dh_{-1}
+            // feeds nothing.
+            if t > 0 {
+                dzh.matmul_packed_into(&wh_t, &mut dh_next);
+                for r in 0..batch {
+                    let z = &step.gates.row(r)[hd..2 * hd];
+                    for ((dn, &dh), &z) in dh_next.row_mut(r).iter_mut().zip(dh.row(r)).zip(z) {
+                        *dn += dh * z;
+                    }
                 }
             }
         }
 
-        for buf in [dh, dzx, dzh, dh_next, tmp_wx, tmp_wh, tmp_db, wx_t, wh_t] {
+        for buf in [dh, dzx, dzh, dh_next, tmp_db] {
             ws.recycle(buf);
+        }
+        for p in wx_t.into_iter().chain([wh_t]) {
+            ws.recycle_packed(p);
         }
     }
 }

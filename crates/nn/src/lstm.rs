@@ -80,6 +80,7 @@ impl RecurrentCell for LstmLayer {
     type Cache = LstmSeqCache;
     const TAG: &'static str = "sequence-model";
     const DETECTOR: &'static str = "lstm";
+    const GATES: usize = 4;
 
     /// New layer with Xavier-initialized weights, zero bias, and the
     /// forget-gate bias set to 1.0.
@@ -172,7 +173,7 @@ impl RecurrentCell for LstmLayer {
         &self,
         cache: &LstmSeqCache,
         d_hs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        mut dxs: Option<&mut Vec<Matrix>>,
         grads: &mut [Matrix],
         ws: &mut Workspace,
     ) {
@@ -184,73 +185,80 @@ impl RecurrentCell for LstmLayer {
         let t_len = cache.steps.len();
         let batch = cache.steps[0].x.rows();
         let hd = self.hidden;
-        let input = self.input_dim();
 
-        ws.ensure_seq(dxs, t_len, batch, input);
-        let mut dh = ws.take(batch, hd);
+        if let Some(dxs) = dxs.as_deref_mut() {
+            ws.ensure_seq(dxs, t_len, batch, self.input_dim());
+        }
         let mut dz = ws.take(batch, 4 * hd);
         let mut dc_prev = ws.take(batch, hd);
         let mut dh_next = ws.take_zeroed(batch, hd);
         let mut dc_next = ws.take_zeroed(batch, hd);
-        let mut tmp_wx = ws.take(input, 4 * hd);
-        let mut tmp_wh = ws.take(hd, 4 * hd);
         let mut tmp_db = ws.take(1, 4 * hd);
-        // Transpose the weights once so the per-step input/hidden
-        // gradients become plain matmuls over contiguous rows.
-        let mut wx_t = ws.take(4 * hd, input);
-        let mut wh_t = ws.take(4 * hd, hd);
-        self.wx.transpose_into(&mut wx_t);
-        self.wh.transpose_into(&mut wh_t);
+        // Wxᵀ (only when dL/dx is wanted) and Whᵀ, packed once so every
+        // step's input and hidden gradients run on the same panels.
+        let wx_t = dxs.is_some().then(|| ws.pack_transposed(&self.wx));
+        let wh_t = ws.pack_transposed(&self.wh);
 
         for t in (0..t_len).rev() {
             let step = &cache.steps[t];
-            // Total gradient reaching h_t.
-            dh.copy_from(&d_hs[t]);
-            dh.add_assign(&dh_next);
-
-            // Per-element gate gradients -> pre-activation gradients dz.
-            // Every element of dz and dc_prev is overwritten each step.
+            // Per-element gate gradients -> pre-activation gradients dz,
+            // with dh = d_hs[t] + dh_next (the total gradient reaching
+            // h_t) formed in the same pass. Every element of dz and
+            // dc_prev is overwritten each step.
             for r in 0..batch {
                 let gates = step.gates.row(r);
-                for k in 0..hd {
-                    let i = gates[k];
-                    let f = gates[hd + k];
-                    let g = gates[2 * hd + k];
-                    let o = gates[3 * hd + k];
-                    let tc = step.tanh_c.get(r, k);
-                    let dh_v = dh.get(r, k);
+                let (i, f) = (&gates[..hd], &gates[hd..2 * hd]);
+                let (g, o) = (&gates[2 * hd..3 * hd], &gates[3 * hd..]);
+                let (dz_if, dz_go) = dz.row_mut(r).split_at_mut(2 * hd);
+                let ((dz_i, dz_f), (dz_g, dz_o)) = (dz_if.split_at_mut(hd), dz_go.split_at_mut(hd));
+                let dh = d_hs[t].row(r).iter().zip(dh_next.row(r));
+                let cell = step.tanh_c.row(r).iter().zip(step.c_prev.row(r)).zip(dc_next.row(r));
+                let gates = i.iter().zip(f).zip(g).zip(o);
+                let dzs = dz_i.iter_mut().zip(dz_f).zip(dz_g).zip(dz_o);
+                for (
+                    (((dh_s, dh_n), ((&tc, &c_prev), &dc_next)), (((&i, &f), &g), &o)),
+                    (dzs, dc_prev),
+                ) in dh.zip(cell).zip(gates).zip(dzs.zip(dc_prev.row_mut(r)))
+                {
+                    let (((dz_i, dz_f), dz_g), dz_o) = dzs;
+                    let dh_v = dh_s + dh_n;
 
                     let do_ = dh_v * tc;
                     let dtc = dh_v * o;
-                    let dc = dc_next.get(r, k) + dtc * (1.0 - tc * tc);
+                    let dc = dc_next + dtc * (1.0 - tc * tc);
 
                     let di = dc * g;
-                    let df = dc * step.c_prev.get(r, k);
+                    let df = dc * c_prev;
                     let dg = dc * i;
-                    dc_prev.set(r, k, dc * f);
+                    *dc_prev = dc * f;
 
-                    let row = dz.row_mut(r);
-                    row[k] = di * i * (1.0 - i);
-                    row[hd + k] = df * f * (1.0 - f);
-                    row[2 * hd + k] = dg * (1.0 - g * g);
-                    row[3 * hd + k] = do_ * o * (1.0 - o);
+                    *dz_i = di * i * (1.0 - i);
+                    *dz_f = df * f * (1.0 - f);
+                    *dz_g = dg * (1.0 - g * g);
+                    *dz_o = do_ * o * (1.0 - o);
                 }
             }
 
-            step.x.matmul_tn_into(&dz, &mut tmp_wx);
-            dwx.add_assign(&tmp_wx);
-            step.h_prev.matmul_tn_into(&dz, &mut tmp_wh);
-            dwh.add_assign(&tmp_wh);
+            step.x.matmul_tn_add_once(&dz, dwx);
+            step.h_prev.matmul_tn_add_once(&dz, dwh);
             dz.sum_rows_into(&mut tmp_db);
             db.add_assign(&tmp_db);
 
-            dz.matmul_into(&wx_t, &mut dxs[t]);
-            dz.matmul_into(&wh_t, &mut dh_next);
-            mem::swap(&mut dc_next, &mut dc_prev);
+            if let (Some(dxs), Some(wx_t)) = (dxs.as_deref_mut(), &wx_t) {
+                dz.matmul_packed_into(wx_t, &mut dxs[t]);
+            }
+            // dL/dh_{-1} and dL/dc_{-1} feed nothing.
+            if t > 0 {
+                dz.matmul_packed_into(&wh_t, &mut dh_next);
+                mem::swap(&mut dc_next, &mut dc_prev);
+            }
         }
 
-        for buf in [dh, dz, dc_prev, dh_next, dc_next, tmp_wx, tmp_wh, tmp_db, wx_t, wh_t] {
+        for buf in [dz, dc_prev, dh_next, dc_next, tmp_db] {
             ws.recycle(buf);
+        }
+        for p in wx_t.into_iter().chain([wh_t]) {
+            ws.recycle_packed(p);
         }
     }
 }

@@ -30,6 +30,9 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
     /// Name of the next-template detector built on this cell (also the
     /// tag of its serialized state).
     const DETECTOR: &'static str;
+    /// Gate blocks per layer: `Wx` is `I x GATES·H`, `Wh` is
+    /// `H x GATES·H` and `b` is `1 x GATES·H`.
+    const GATES: usize;
 
     /// A freshly initialized layer mapping `input`-wide steps to
     /// `hidden` units.
@@ -55,15 +58,16 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
     );
 
     /// Allocation-free BPTT: `d_hs[t]` is `dL/dh_t` from the layer above
-    /// (zero for steps that do not feed the loss). Writes `dL/dx_t` into
-    /// `dxs` and *accumulates* the parameter gradients into `grads`
-    /// (`[dWx, dWh, db]`; callers zero them once per batch). Scratch
-    /// buffers are borrowed from `ws`.
+    /// (zero for steps that do not feed the loss). *Accumulates* the
+    /// parameter gradients into `grads` (`[dWx, dWh, db]`; callers zero
+    /// them once per batch) and, given `dxs`, writes `dL/dx_t` into it;
+    /// without `dxs` (nothing below the layer trains) the input-gradient
+    /// products are skipped. Scratch buffers are borrowed from `ws`.
     fn backward_seq_into(
         &self,
         cache: &Self::Cache,
         d_hs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        dxs: Option<&mut Vec<Matrix>>,
         grads: &mut [Matrix],
         ws: &mut Workspace,
     );
@@ -84,7 +88,7 @@ pub trait RecurrentCell: Trainable + Clone + Debug + Send + Sync + 'static {
         let mut grads: Vec<Matrix> =
             self.params().iter().map(|p| Matrix::zeros(p.rows(), p.cols())).collect();
         let mut dxs = Vec::new();
-        self.backward_seq_into(cache, d_hs, &mut dxs, &mut grads, &mut Workspace::new());
+        self.backward_seq_into(cache, d_hs, Some(&mut dxs), &mut grads, &mut Workspace::new());
         (dxs, grads)
     }
 }
@@ -290,10 +294,11 @@ impl<C: RecurrentCell> RecurrentModel<C> {
     }
 
     /// Allocation-free forward pass over the selected samples. With
-    /// `record` (a backward pass follows), every layer fills its BPTT
-    /// cache and the head its [`DenseCache`], whose output then holds the
-    /// logits; without it, nothing is recorded and the logits land in
-    /// `s.probs`.
+    /// `record` (a backward pass follows), every trainable layer fills its
+    /// BPTT cache and the head its [`DenseCache`], whose output then holds
+    /// the logits; a frozen layer takes no gradient, so it runs the
+    /// unrecorded pass, whose bits are the same. Without `record`, nothing
+    /// is recorded and the logits land in `s.probs`.
     fn forward(
         &self,
         view: &SeqView<'_>,
@@ -329,7 +334,7 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         // Ping-pong the hidden sequences through the stack: xs -> a -> b
         // -> a -> ...
         for (l, cell) in self.cells.iter().enumerate() {
-            let cache = caches.as_deref_mut().map(|c| &mut c[l]);
+            let cache = caches.as_deref_mut().filter(|_| self.trains_cell(l)).map(|c| &mut c[l]);
             if l == 0 {
                 cell.forward_seq_into(xs, seq_a, cache, ws);
             } else if l % 2 == 1 {
@@ -346,8 +351,17 @@ impl<C: RecurrentCell> RecurrentModel<C> {
         }
     }
 
+    /// Whether recurrent layer `l` (component `l + 1`) trains.
+    fn trains_cell(&self, l: usize) -> bool {
+        l + 1 >= self.frozen_bottom
+    }
+
     /// Allocation-free backward pass. Expects `s.fwd.probs` to hold
-    /// `dL/dlogits` and accumulates parameter gradients into `grads`.
+    /// `dL/dlogits` and accumulates the gradients of the trainable
+    /// components into `grads`. Frozen components cost nothing: the
+    /// recursion stops at the lowest trainable layer, which computes no
+    /// `dL/dx`, and the embedding scatter runs only when the embedding
+    /// trains. Their slots are left as they are.
     fn backward_scratch(
         &self,
         view: &SeqView<'_>,
@@ -374,15 +388,22 @@ impl<C: RecurrentCell> RecurrentModel<C> {
             self.head.backward_into(head_cache, probs, &mut d_a[t_len - 1], dw, db, ws);
         }
 
-        // BPTT down the recurrent stack, ping-ponging the per-step
-        // gradients.
-        for l in (0..n).rev() {
+        // BPTT down the trainable part of the recurrent stack,
+        // ping-ponging the per-step gradients. Layer l's dL/dx feeds
+        // component l: the embedding, or layer l - 1.
+        for l in (0..n).rev().take_while(|&l| self.trains_cell(l)) {
             let cell_grads = &mut slots[1 + CELL_PARAMS * l..1 + CELL_PARAMS * (l + 1)];
+            let below_trains = l >= self.frozen_bottom;
             if (n - 1 - l).is_multiple_of(2) {
-                self.cells[l].backward_seq_into(&caches[l], d_a, d_b, cell_grads, ws);
+                let dxs = below_trains.then_some(&mut *d_b);
+                self.cells[l].backward_seq_into(&caches[l], d_a, dxs, cell_grads, ws);
             } else {
-                self.cells[l].backward_seq_into(&caches[l], d_b, d_a, cell_grads, ws);
+                let dxs = below_trains.then_some(&mut *d_a);
+                self.cells[l].backward_seq_into(&caches[l], d_b, dxs, cell_grads, ws);
             }
+        }
+        if self.frozen_bottom > 0 {
+            return;
         }
         let d_bottom: &[Matrix] = if n % 2 == 1 { d_b } else { d_a };
 
@@ -500,10 +521,43 @@ impl<C: RecurrentCell> RecurrentModel<C> {
             layers: ckpt.dims[3],
             use_gap_feature: ckpt.dims[4] != 0,
         };
+        check_stored_shapes(ckpt, &Self::stored_shapes(&cfg, ckpt)?)?;
         let mut rng = rand::rngs::mock::StepRng::new(1, 1);
         let mut model = RecurrentModel::new(cfg, &mut rng);
-        restore_params(&mut model, ckpt)?;
+        restore_params(&mut model, ckpt);
         Ok(model)
+    }
+
+    /// The parameter shapes, in optimizer order, that a checkpoint of
+    /// `cfg` must hold, derived with checked arithmetic. The matrix count
+    /// is compared first, so a layer count no stored matrix backs is
+    /// refused before any list is built from it.
+    fn stored_shapes(
+        cfg: &SequenceModelConfig,
+        ckpt: &Checkpoint,
+    ) -> Result<Vec<(usize, usize)>, CheckpointError> {
+        let count = cfg.layers.checked_mul(CELL_PARAMS).and_then(|p| p.checked_add(3));
+        if count != Some(ckpt.params.len()) {
+            return Err(CheckpointError::Invalid(format!(
+                "{} layers need {} parameter matrices, checkpoint has {}",
+                cfg.layers,
+                count.map_or("more than usize::MAX".to_string(), |c| c.to_string()),
+                ckpt.params.len()
+            )));
+        }
+        let overflow = || {
+            CheckpointError::Invalid(format!("{} dims {:?} overflow a shape", C::TAG, ckpt.dims))
+        };
+        let gates = cfg.hidden.checked_mul(C::GATES).ok_or_else(overflow)?;
+        let in0 =
+            cfg.embed_dim.checked_add(usize::from(cfg.use_gap_feature)).ok_or_else(overflow)?;
+        let mut shapes = vec![(cfg.vocab, cfg.embed_dim)];
+        for l in 0..cfg.layers {
+            let input = if l == 0 { in0 } else { cfg.hidden };
+            shapes.extend([(input, gates), (cfg.hidden, gates), (1, gates)]);
+        }
+        shapes.extend([(cfg.hidden, cfg.vocab), (1, cfg.vocab)]);
+        Ok(shapes)
     }
 
     /// Panicking convenience wrapper around
@@ -665,20 +719,30 @@ impl Mlp {
             .dims
             .first()
             .ok_or_else(|| CheckpointError::Invalid("mlp checkpoint has empty dims".to_string()))?;
-        if n == 0 || ckpt.dims.len() != 1 + 3 * n {
+        // Each layer is `[in, out, activation]`; the dims are in memory,
+        // so a layer count that matches their length is bounded by it.
+        if n == 0 || n.checked_mul(3).and_then(|d| d.checked_add(1)) != Some(ckpt.dims.len()) {
             return Err(CheckpointError::Invalid(format!(
-                "mlp checkpoint with {} layers needs {} dims, found {}",
+                "mlp checkpoint with {} layers needs 1 + 3 x {} dims, found {}",
                 n,
-                1 + 3 * n.max(1),
+                n,
                 ckpt.dims.len()
             )));
         }
-        let mut rng = rand::rngs::mock::StepRng::new(1, 1);
-        let mut layers = Vec::with_capacity(n);
-        for i in 0..n {
-            let in_dim = ckpt.dims[1 + 3 * i];
-            let out_dim = ckpt.dims[2 + 3 * i];
-            let act = match ckpt.dims[3 + 3 * i] {
+        let mut specs: Vec<(usize, usize, Activation)> = Vec::with_capacity(n);
+        for spec in ckpt.dims[1..].chunks_exact(3) {
+            let &[in_dim, out_dim, act] = spec else { unreachable!("chunks of 3") };
+            if let Some(&(_, below, _)) = specs.last() {
+                if in_dim != below {
+                    return Err(CheckpointError::Invalid(format!(
+                        "mlp layer {} takes {} inputs but the layer below gives {}",
+                        specs.len(),
+                        in_dim,
+                        below
+                    )));
+                }
+            }
+            let act = match act {
                 0 => Activation::Identity,
                 1 => Activation::Sigmoid,
                 2 => Activation::Tanh,
@@ -690,10 +754,14 @@ impl Mlp {
                     )))
                 }
             };
-            layers.push(Dense::new(in_dim, out_dim, act, &mut rng));
+            specs.push((in_dim, out_dim, act));
         }
+        let shapes: Vec<_> = specs.iter().flat_map(|&(i, o, _)| [(i, o), (1, o)]).collect();
+        check_stored_shapes(ckpt, &shapes)?;
+        let mut rng = rand::rngs::mock::StepRng::new(1, 1);
+        let layers = specs.into_iter().map(|(i, o, act)| Dense::new(i, o, act, &mut rng)).collect();
         let mut mlp = Mlp { layers };
-        restore_params(&mut mlp, ckpt)?;
+        restore_params(&mut mlp, ckpt);
         Ok(mlp)
     }
 
@@ -704,30 +772,46 @@ impl Mlp {
     }
 }
 
-/// Copies checkpoint matrices into a freshly-built model, verifying the
-/// parameter count and every matrix shape against the architecture the
-/// dims describe.
-fn restore_params<M: Trainable>(model: &mut M, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-    let mut params = model.params_mut();
-    if params.len() != ckpt.params.len() {
+/// Checks the checkpoint's matrices against the parameter shapes its
+/// dims describe, and each one's data against its own shape, before a
+/// model is built: a loader then allocates only what the checkpoint
+/// already holds, whatever its dims claim.
+fn check_stored_shapes(
+    ckpt: &Checkpoint,
+    expected: &[(usize, usize)],
+) -> Result<(), CheckpointError> {
+    if expected.len() != ckpt.params.len() {
         return Err(CheckpointError::Invalid(format!(
             "architecture expects {} parameter matrices, checkpoint has {}",
-            params.len(),
+            expected.len(),
             ckpt.params.len()
         )));
     }
-    for (p, dump) in params.iter_mut().zip(ckpt.params.iter()) {
-        let restored = dump.to_matrix()?;
-        if restored.shape() != p.shape() {
+    for (dump, &shape) in ckpt.params.iter().zip(expected) {
+        if (dump.rows, dump.cols) != shape {
             return Err(CheckpointError::Invalid(format!(
                 "parameter shape {:?} does not match architecture shape {:?}",
                 (dump.rows, dump.cols),
-                p.shape()
+                shape
             )));
         }
-        **p = restored;
+        if dump.rows.checked_mul(dump.cols) != Some(dump.data.len()) {
+            return Err(CheckpointError::ShapeMismatch {
+                rows: dump.rows,
+                cols: dump.cols,
+                len: dump.data.len(),
+            });
+        }
     }
     Ok(())
+}
+
+/// Copies checkpoint matrices into a model built from the same dims,
+/// after [`check_stored_shapes`] passed.
+fn restore_params<M: Trainable>(model: &mut M, ckpt: &Checkpoint) {
+    for (p, dump) in model.params_mut().into_iter().zip(&ckpt.params) {
+        p.as_mut_slice().copy_from_slice(&dump.data);
+    }
 }
 
 impl Trainable for Mlp {
@@ -818,6 +902,7 @@ mod tests {
         probs_rows_are_distributions,
         frozen_bottom_components_do_not_move,
         checkpoint_roundtrip_preserves_predictions,
+        oversized_checkpoint_dims_are_typed_errors,
         non_finite_wh_reaches_every_probability_row,
         #[should_panic(expected = "ragged windows")]
         ragged_batch_is_rejected,
@@ -912,6 +997,97 @@ mod tests {
             seed in 0u64..1_000_000,
         ) {
             inference_equals_recording::<crate::GruLayer>(layers, window, batch, gap == 1, seed);
+        }
+    }
+
+    /// Every slot of `shard_gradients`'s gradients, as bits, and its
+    /// loss, with the bottom `frozen` components of `model` frozen.
+    fn gradient_bits<C: RecurrentCell>(
+        model: &mut RecurrentModel<C>,
+        frozen: usize,
+        view: &SeqView<'_>,
+        indices: &[usize],
+        s: &mut RecurrentScratch<C::Cache>,
+    ) -> (Vec<Vec<u32>>, u32) {
+        model.set_frozen_bottom(frozen);
+        let mut grads = GradientSet::new(&model.param_shapes());
+        let loss = model.shard_gradients(view, indices, indices.len(), s, &mut grads);
+        ((0..grads.len()).map(|i| bits(grads.get(i))).collect(), loss.to_bits())
+    }
+
+    /// A frozen prefix skips work, never changes it: for every
+    /// `frozen_bottom`, the trainable slots hold the bits of the run
+    /// with nothing frozen, the frozen slots stay zero, and the loss is
+    /// unchanged. One scratch serves every run, so a pass that skipped
+    /// a layer's cache or its `dL/dx` leaves nothing stale for the next.
+    fn frozen_prefix_keeps_trainable_gradients<C: RecurrentCell>(
+        layers: usize,
+        window: usize,
+        batch: usize,
+        gap: bool,
+        seed: u64,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cfg = SequenceModelConfig {
+            vocab: rng.gen_range(2..12),
+            embed_dim: rng.gen_range(1..7),
+            hidden: rng.gen_range(1..10),
+            layers,
+            use_gap_feature: gap,
+        };
+        let vocab = cfg.vocab;
+        let ids: Vec<Vec<usize>> =
+            (0..batch).map(|_| (0..window).map(|_| rng.gen_range(0..vocab)).collect()).collect();
+        let gaps: Vec<Vec<f32>> =
+            (0..batch).map(|_| (0..window).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
+        let targets: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..vocab)).collect();
+        let view = SeqView { ids: &ids, gaps: &gaps, targets: &targets };
+        let indices: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..batch)).collect();
+        let mut model = RecurrentModel::<C>::new(cfg, &mut rng);
+        let mut s = RecurrentScratch::default();
+
+        let (all, loss) = gradient_bits(&mut model, 0, &view, &indices, &mut s);
+        for frozen in (1..model.component_count()).chain([0]) {
+            let (got, got_loss) = gradient_bits(&mut model, frozen, &view, &indices, &mut s);
+            assert_eq!(got_loss, loss, "frozen {frozen}: loss");
+            let n_frozen = model.frozen_param_count();
+            for (slot, (got, all)) in got.iter().zip(&all).enumerate() {
+                if slot < n_frozen {
+                    assert!(got.iter().all(|&b| b == 0), "frozen {frozen}: slot {slot} written");
+                } else {
+                    assert_eq!(got, all, "frozen {frozen}: slot {slot}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn lstm_frozen_prefix_keeps_trainable_gradients(
+            layers in 1usize..=3,
+            window in 1usize..=7,
+            batch in 1usize..=40,
+            gap in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            frozen_prefix_keeps_trainable_gradients::<crate::LstmLayer>(
+                layers, window, batch, gap == 1, seed,
+            );
+        }
+
+        #[test]
+        fn gru_frozen_prefix_keeps_trainable_gradients(
+            layers in 1usize..=3,
+            window in 1usize..=7,
+            batch in 1usize..=40,
+            gap in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            frozen_prefix_keeps_trainable_gradients::<crate::GruLayer>(
+                layers, window, batch, gap == 1, seed,
+            );
         }
     }
 
@@ -1141,6 +1317,60 @@ mod tests {
         let restored = RecurrentModel::<C>::from_checkpoint(&model.to_checkpoint());
         let roundtrip = restored.predict_probs(&view);
         assert_eq!(original.as_slice(), roundtrip.as_slice());
+    }
+
+    /// Dims that no stored matrix backs are a typed error, found before
+    /// anything is allocated from them: a vocabulary or hidden width of
+    /// 2^62 (whose shapes overflow), a vocabulary of 2^33 and 2^40 layers
+    /// (whose allocations would abort the process).
+    fn oversized_checkpoint_dims_are_typed_errors<C: RecurrentCell>() {
+        let cfg = SequenceModelConfig { vocab: 6, embed_dim: 3, hidden: 4, ..Default::default() };
+        let ckpt = RecurrentModel::<C>::new(cfg, &mut SmallRng::seed_from_u64(2)).to_checkpoint();
+        for (dim, value) in [(0, 1 << 62), (2, 1 << 62), (0, 1 << 33), (3, 1 << 40)] {
+            let mut bad = ckpt.clone();
+            bad.dims[dim] = value;
+            match RecurrentModel::<C>::try_from_checkpoint(&bad) {
+                Err(CheckpointError::Invalid(_)) => {}
+                other => panic!("dims[{dim}] = {value}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_mlp_checkpoint_dims_are_typed_errors() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mlp = Mlp::new(&[5, 3, 5], Activation::Relu, Activation::Identity, &mut rng);
+        let ckpt = mlp.to_checkpoint();
+        // dims: [layers, in0, out0, act0, in1, out1, act1].
+        let cases: [(usize, usize); 5] =
+            [(1, 1 << 62), (2, 1 << 62), (2, 1 << 33), (0, 1 << 40), (0, usize::MAX / 2)];
+        for (dim, value) in cases {
+            let mut bad = ckpt.clone();
+            bad.dims[dim] = value;
+            match Mlp::try_from_checkpoint(&bad) {
+                Err(CheckpointError::Invalid(_)) => {}
+                other => panic!("dims[{dim}] = {value}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    /// Layers whose widths do not chain (layer 1 takes 4 inputs, layer
+    /// 0 gives 3) are a typed error at load, not a panic at inference,
+    /// even when every stored matrix matches its own layer's dims.
+    #[test]
+    fn mlp_checkpoint_with_unchained_widths_is_a_typed_error() {
+        let mut rng = SmallRng::seed_from_u64(37);
+        let first = Mlp::new(&[5, 3], Activation::Relu, Activation::Relu, &mut rng);
+        let second = Mlp::new(&[4, 5], Activation::Relu, Activation::Identity, &mut rng);
+        let mut ckpt = first.to_checkpoint();
+        let tail = second.to_checkpoint();
+        ckpt.dims[0] = 2;
+        ckpt.dims.extend_from_slice(&tail.dims[1..]);
+        ckpt.params.extend(tail.params);
+        match Mlp::try_from_checkpoint(&ckpt) {
+            Err(CheckpointError::Invalid(msg)) => assert!(msg.contains("inputs"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
     }
 
     #[test]

@@ -192,19 +192,9 @@ impl LogStream {
 
     /// Extracts every window of `k` consecutive records followed by a
     /// target record, restricted to targets inside `[start, end)`.
-    ///
-    /// A `filter` receives the *target* record and can exclude windows
-    /// (used to drop log entries near tickets when building "normal"
-    /// training data).
-    pub fn windows_in(
-        &self,
-        k: usize,
-        start: u64,
-        end: u64,
-        filter: impl FnMut(&LogRecord) -> bool,
-    ) -> WindowSet {
+    pub fn windows_in(&self, k: usize, start: u64, end: u64) -> WindowSet {
         let mut out = WindowSet::default();
-        self.push_windows(k, self.window_targets(k, start, end), &mut Vec::new(), &mut out, filter);
+        self.push_windows(k, self.window_targets(k, start, end), &mut Vec::new(), &mut out);
         out
     }
 
@@ -221,17 +211,15 @@ impl LogStream {
     }
 
     /// Appends to `out` the window of every target record in `targets`
-    /// (a sub-range of [`LogStream::window_targets`]) that `filter`
-    /// keeps, in record order. Each record's gap feature is computed once
-    /// into `gaps`, a caller-kept buffer, and copied into the `k` windows
-    /// that hold it.
+    /// (a sub-range of [`LogStream::window_targets`]), in record order.
+    /// Each record's gap feature is computed once into `gaps`, a
+    /// caller-kept buffer, and copied into the `k` windows that hold it.
     pub fn push_windows(
         &self,
         k: usize,
         targets: Range<usize>,
         gaps: &mut Vec<f32>,
         out: &mut WindowSet,
-        mut filter: impl FnMut(&LogRecord) -> bool,
     ) {
         if targets.is_empty() {
             return;
@@ -245,15 +233,13 @@ impl LogStream {
         gaps.clear();
         gaps.extend((first..targets.end - 1).map(|i| self.gap_of(i)));
         for t in targets {
-            if filter(&self.records[t]) {
-                self.push_window(out, k, t, |i| gaps[i - first]);
-            }
+            self.push_window(out, k, t, |i| gaps[i - first]);
         }
     }
 
-    /// All windows of the stream (no time restriction or filter).
+    /// All windows of the stream (no time restriction).
     pub fn windows(&self, k: usize) -> WindowSet {
-        self.windows_in(k, 0, u64::MAX, |_| true)
+        self.windows_in(k, 0, u64::MAX)
     }
 
     /// Number of windows [`LogStream::windows`] extracts.
@@ -371,15 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn window_filter_excludes_targets() {
-        let s = stream();
-        let ws = s.windows_in(2, 0, u64::MAX, |r| r.template != 0);
-        // The target=0 window at time 90 is dropped.
-        assert_eq!(ws.len(), 2);
-        assert!(ws.targets.iter().all(|&t| t != 0));
-    }
-
-    #[test]
     fn time_bounded_windows_equal_the_bounded_share_of_all_windows() {
         let s = stream();
         for k in 1..=3 {
@@ -390,22 +367,13 @@ mod tests {
                 let keep: Vec<usize> =
                     (0..all.len()).filter(|&i| (start..end).contains(&all.times[i])).collect();
                 let want = all.gather(&keep);
-                let got = s.windows_in(k, start, end, |_| true);
+                let got = s.windows_in(k, start, end);
                 let case = format!("k {k}, [{start}, {end})");
                 assert_eq!(got.ids, want.ids, "{case}");
                 assert_eq!(got.gaps, want.gaps, "{case}");
                 assert_eq!(got.targets, want.targets, "{case}");
                 assert_eq!(got.times, want.times, "{case}");
             }
-            // A filter sees exactly the in-range targets, in order.
-            let mut seen = Vec::new();
-            s.windows_in(k, 20, 60, |r| {
-                seen.push(r.time);
-                true
-            });
-            let want: Vec<u64> =
-                all.times.iter().copied().filter(|t| (20..60).contains(t)).collect();
-            assert_eq!(seen, want, "k {k}: filter calls");
         }
     }
 

@@ -11,6 +11,12 @@
 //! * `matmul` (`A · B`): pack `B`'s rows into panels.
 //! * `matmul_tn` (`Aᵀ · B`): transpose-pack `A`, then run the same kernel.
 //! * `matmul_nt` (`A · Bᵀ`): transpose-pack `B` into panels.
+//! * `matmul_packed_into` (`A · Bᵀ`): `Bᵀ` was packed once into a
+//!   caller-held [`PackedRhs`], for a pass that multiplies many `A` by
+//!   the same `Bᵀ`.
+//! * `matmul_tn_add_once` (`C += Aᵀ · B`): the `tn` product summed from
+//!   zero, then added into `C` once — the bits of writing the product to
+//!   a zeroed temporary and adding that, without the temporary.
 //!
 //! The micro-kernel accumulates [`MR`] output rows × one panel at a time
 //! with lane accumulators held in registers across the entire `k` loop.
@@ -32,7 +38,8 @@
 //! packed panels recover far more than the skip ever did.
 //!
 //! Pack buffers are thread-local and grow-only, so steady-state training
-//! does not allocate in here.
+//! does not allocate in here; a [`PackedRhs`] is the caller's and grows
+//! the same way.
 //!
 //! ## Row-panel parallelism
 //!
@@ -56,6 +63,7 @@
 //! gradient-shard task) stay serial — the outer region owns the cores.
 
 use crate::simd::Simd;
+use crate::Matrix;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -131,9 +139,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// `c += a · b` where `a` is `m x k`, `b` is `k x n`, `c` is `m x n`,
 /// all row-major.
 pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    // The kernels read `a` and `c` through raw pointers.
+    assert_eq!(a.len(), m * k, "gemm_nn_acc: lhs length");
+    assert_eq!(b.len(), k * n, "gemm_nn_acc: rhs length");
+    assert_eq!(c.len(), m * n, "gemm_nn_acc: output length");
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -142,7 +151,7 @@ pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
         let bufs = &mut *bufs.borrow_mut();
         let (packed, _) = bufs.split_at_mut(1);
         pack_rhs(panel_width(simd), k, n, b, &mut packed[0]);
-        kernel_dispatch(simd, m, k, n, a, &packed[0], c);
+        kernel_dispatch::<false>(simd, m, k, n, a, &packed[0], c);
     });
 }
 
@@ -154,10 +163,38 @@ pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
 /// per output element the reduction stays in ascending shared-row order,
 /// matching the old outer-product loop bit for bit.
 pub fn gemm_tn_acc(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), r * m);
-    debug_assert_eq!(b.len(), r * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 0 || r == 0 || n == 0 {
+    if r > 0 {
+        gemm_tn::<false>(r, m, n, a, b, c);
+    }
+}
+
+/// `c += (aᵀ · b)` with the product summed from zero and added into `c`
+/// once: `a` is `r x m`, `b` is `r x n`, `c` is `m x n`.
+///
+/// Each element's sum starts at `+0` and takes its `r` products in
+/// ascending order; the finished sum is then added to `c` (`c + sum`).
+/// These are the bits of [`gemm_tn_acc`] into a zeroed temporary
+/// followed by adding the temporary into `c`. At `r = 0` every sum is
+/// `+0`, which still turns a `-0` in `c` into `+0`, as the temporary
+/// would.
+pub fn gemm_tn_add_once(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_tn::<true>(r, m, n, a, b, c);
+}
+
+/// The `tn` form, accumulating onto `c` or adding once (`ADD_ONCE`).
+fn gemm_tn<const ADD_ONCE: bool>(
+    r: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    // The kernels read `a` and `c` through raw pointers.
+    assert_eq!(a.len(), r * m, "gemm_tn: lhs length");
+    assert_eq!(b.len(), r * n, "gemm_tn: rhs length");
+    assert_eq!(c.len(), m * n, "gemm_tn: output length");
+    if m == 0 || n == 0 {
         return;
     }
     let simd = Simd::current();
@@ -174,16 +211,17 @@ pub fn gemm_tn_acc(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
                 at[j * r + i] = v;
             }
         }
-        kernel_dispatch(simd, m, r, n, at, &packed[0], c);
+        kernel_dispatch::<ADD_ONCE>(simd, m, r, n, at, &packed[0], c);
     });
 }
 
 /// `c += a · bᵀ` where `a` is `m x k`, `b` is `j x k` (so `bᵀ` is
 /// `k x j`), `c` is `m x j`.
 pub fn gemm_nt_acc(m: usize, k: usize, j: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), j * k);
-    debug_assert_eq!(c.len(), m * j);
+    // The kernels read `a` and `c` through raw pointers.
+    assert_eq!(a.len(), m * k, "gemm_nt_acc: lhs length");
+    assert_eq!(b.len(), j * k, "gemm_nt_acc: rhs length");
+    assert_eq!(c.len(), m * j, "gemm_nt_acc: output length");
     if m == 0 || k == 0 || j == 0 {
         return;
     }
@@ -192,8 +230,62 @@ pub fn gemm_nt_acc(m: usize, k: usize, j: usize, a: &[f32], b: &[f32], c: &mut [
         let bufs = &mut *bufs.borrow_mut();
         let (packed, _) = bufs.split_at_mut(1);
         pack_rhs_transposed(panel_width(simd), k, j, b, &mut packed[0]);
-        kernel_dispatch(simd, m, k, j, a, &packed[0], c);
+        kernel_dispatch::<false>(simd, m, k, j, a, &packed[0], c);
     });
+}
+
+/// `c += a · bᵀ` where `a` is `m x k`, `c` is `m x n`, and `bᵀ`
+/// (`k x n`) was packed into `rhs` beforehand; the bits of
+/// [`gemm_nt_acc`] on the unpacked `b`.
+pub fn gemm_packed_acc(m: usize, a: &[f32], rhs: &PackedRhs, c: &mut [f32]) {
+    let (k, n) = (rhs.k, rhs.n);
+    // The kernels read `a` and `c` through raw pointers.
+    assert_eq!(a.len(), m * k, "gemm_packed_acc: lhs length");
+    assert_eq!(c.len(), m * n, "gemm_packed_acc: output length");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    kernel_dispatch::<false>(rhs.simd, m, k, n, a, &rhs.panels, c);
+}
+
+/// A transposed right-hand operand packed once into the panels of the
+/// kernel that multiplies it, for a pass that multiplies many left-hand
+/// operands by the same matrix: a recurrent layer's backward packs
+/// `Wxᵀ` and `Whᵀ` once per sequence instead of transposing them into a
+/// copy that every step packs again.
+///
+/// The panels are laid out for the lane path current when they were
+/// packed, and every product with them runs on that path. The buffer
+/// grows to the largest operand packed into it and is then reused, so a
+/// pack kept in a caller's scratch allocates nothing in steady state.
+#[derive(Debug, Clone, Default)]
+pub struct PackedRhs {
+    simd: Simd,
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedRhs {
+    /// Packs the transpose of `b` (`n x k`) as the rhs of `a · bᵀ`,
+    /// straight from `b` without a transposed copy.
+    pub fn pack_transposed(&mut self, b: &Matrix) {
+        let (n, k) = b.shape();
+        self.simd = Simd::current();
+        (self.k, self.n) = (k, n);
+        pack_rhs_transposed(panel_width(self.simd), k, n, b.as_slice(), &mut self.panels);
+    }
+
+    /// Rows of the packed operand `bᵀ` (the shared dimension of the
+    /// product).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed operand `bᵀ` (the product's width).
+    pub fn cols(&self) -> usize {
+        self.n
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -259,6 +351,33 @@ fn pack_rhs_transposed(w: usize, k: usize, j: usize, b: &[f32], out: &mut Vec<f3
 // Kernel dispatch.
 // ---------------------------------------------------------------------
 
+// Every kernel takes `ADD_ONCE`, which says how it starts and finishes
+// each output element: `false` accumulates onto `c` (the sum starts from
+// `c` and is stored), `true` sums from `+0` and adds the finished sum
+// into `c` once (`c + sum`).
+
+/// Lane accumulators' starting values for the output slice `c`.
+#[inline]
+fn start_lanes<const ADD_ONCE: bool>(acc: &mut [f32], c: &[f32]) {
+    if ADD_ONCE {
+        acc.fill(0.0);
+    } else {
+        acc.copy_from_slice(c);
+    }
+}
+
+/// Writes the finished lane sums back into `c`.
+#[inline]
+fn finish_lanes<const ADD_ONCE: bool>(c: &mut [f32], acc: &[f32]) {
+    if ADD_ONCE {
+        for (c, &s) in c.iter_mut().zip(acc) {
+            *c += s;
+        }
+    } else {
+        c.copy_from_slice(acc);
+    }
+}
+
 /// Number of row blocks the parallel path would use for an `m x k · k x n`
 /// product under the current worker request: 1 when the product is too
 /// small ([`PAR_MIN_MKN`]) or serial was requested, otherwise the request
@@ -276,7 +395,7 @@ fn row_blocks(requested: usize, m: usize, k: usize, n: usize) -> usize {
 /// enough. Every worker reads the same packed panels and writes its own
 /// disjoint row range with the identical per-element arithmetic, so this
 /// is bit-identical to [`kernel_rows`] on one thread (see module docs).
-fn kernel_dispatch(
+fn kernel_dispatch<const ADD_ONCE: bool>(
     simd: Simd,
     m: usize,
     k: usize,
@@ -290,7 +409,7 @@ fn kernel_dispatch(
     // fan-out already owns the workers, and the pool would run the
     // spawned tasks inline anyway.
     if blocks <= 1 || nfv_pool::in_worker() {
-        kernel_rows(simd, m, k, n, a, packed, c);
+        kernel_rows::<ADD_ONCE>(simd, m, k, n, a, packed, c);
         return;
     }
     // MR-aligned block height so only the last block has remainder rows;
@@ -298,7 +417,7 @@ fn kernel_dispatch(
     let rows = m.div_ceil(blocks).next_multiple_of(MR);
     nfv_pool::global().scope(|s| {
         for (ab, cb) in a.chunks(rows * k).zip(c.chunks_mut(rows * n)) {
-            s.spawn(move || kernel_rows(simd, cb.len() / n, k, n, ab, packed, cb));
+            s.spawn(move || kernel_rows::<ADD_ONCE>(simd, cb.len() / n, k, n, ab, packed, cb));
         }
     });
 }
@@ -307,22 +426,31 @@ fn kernel_dispatch(
 /// its width. The AVX-512 kernel covers every panel; the others run
 /// every full panel, then the zero-padded tail panel (last `n % NR`
 /// columns) with per-lane scalar stores. `a` is `m x k` row-major.
-fn kernel_rows(simd: Simd, m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
+fn kernel_rows<const ADD_ONCE: bool>(
+    simd: Simd,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &[f32],
+    c: &mut [f32],
+) {
     let (np, tail) = panels_of(NR, n);
     match simd {
-        // SAFETY: `simd` comes from `Simd::current`, which names only a
-        // path the CPU runs; AVX-512 includes AVX-512F.
+        // SAFETY: `simd` comes from `Simd::current` (directly or through
+        // a `PackedRhs` packed on this CPU), which names only a path the
+        // CPU runs; AVX-512 includes AVX-512F.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx512 => unsafe { panels_avx512(m, k, n, a, packed, c) },
+        Simd::Avx512 => unsafe { panels_avx512::<ADD_ONCE>(m, k, n, a, packed, c) },
         // SAFETY: as above; both paths include AVX.
         #[cfg(target_arch = "x86_64")]
         Simd::Avx | Simd::Avx2 => {
-            unsafe { panels_avx(m, k, n, a, packed, c, np) };
-            tail_from_panel(m, k, n, a, packed, c, np, tail);
+            unsafe { panels_avx::<ADD_ONCE>(m, k, n, a, packed, c, np) };
+            tail_from_panel::<ADD_ONCE>(m, k, n, a, packed, c, np, tail);
         }
         _ => {
-            panels_scalar(m, k, n, a, packed, c, np);
-            tail_from_panel(m, k, n, a, packed, c, np, tail);
+            panels_scalar::<ADD_ONCE>(m, k, n, a, packed, c, np);
+            tail_from_panel::<ADD_ONCE>(m, k, n, a, packed, c, np, tail);
         }
     }
 }
@@ -330,7 +458,7 @@ fn kernel_rows(simd: Simd, m: usize, k: usize, n: usize, a: &[f32], packed: &[f3
 /// Scalar micro-kernel over the packed panels; the fixed-width lane
 /// arrays autovectorize on targets without the explicit SIMD path.
 #[allow(clippy::too_many_arguments)]
-fn panels_scalar(
+fn panels_scalar<const ADD_ONCE: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -348,7 +476,7 @@ fn panels_scalar(
                 (&a[i * k..], &a[(i + 1) * k..], &a[(i + 2) * k..], &a[(i + 3) * k..]);
             let mut acc = [[0.0f32; NR]; MR];
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r.copy_from_slice(&c[(i + r) * n + col0..(i + r) * n + col0 + NR]);
+                start_lanes::<ADD_ONCE>(acc_r, &c[(i + r) * n + col0..(i + r) * n + col0 + NR]);
             }
             for kk in 0..k {
                 let brow = &panel[kk * NR..(kk + 1) * NR];
@@ -360,21 +488,24 @@ fn panels_scalar(
                 }
             }
             for (r, acc_r) in acc.iter().enumerate() {
-                c[(i + r) * n + col0..(i + r) * n + col0 + NR].copy_from_slice(acc_r);
+                finish_lanes::<ADD_ONCE>(
+                    &mut c[(i + r) * n + col0..(i + r) * n + col0 + NR],
+                    acc_r,
+                );
             }
             i += MR;
         }
         while i < m {
             let arow = &a[i * k..(i + 1) * k];
             let mut acc = [0.0f32; NR];
-            acc.copy_from_slice(&c[i * n + col0..i * n + col0 + NR]);
+            start_lanes::<ADD_ONCE>(&mut acc, &c[i * n + col0..i * n + col0 + NR]);
             for (kk, &av) in arow.iter().enumerate() {
                 let brow = &panel[kk * NR..(kk + 1) * NR];
                 for (lane, &b) in acc.iter_mut().zip(brow.iter()) {
                     *lane += av * b;
                 }
             }
-            c[i * n + col0..i * n + col0 + NR].copy_from_slice(&acc);
+            finish_lanes::<ADD_ONCE>(&mut c[i * n + col0..i * n + col0 + NR], &acc);
             i += 1;
         }
     }
@@ -384,7 +515,7 @@ fn panels_scalar(
 /// zero-padded final panel, storing only the live lanes. Accumulation
 /// per element is still one multiply + one add per ascending `k`.
 #[allow(clippy::too_many_arguments)]
-fn tail_from_panel(
+fn tail_from_panel<const ADD_ONCE: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -402,14 +533,14 @@ fn tail_from_panel(
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let mut acc = [0.0f32; NR];
-        acc[..tail].copy_from_slice(&c[i * n + col0..i * n + col0 + tail]);
+        start_lanes::<ADD_ONCE>(&mut acc[..tail], &c[i * n + col0..i * n + col0 + tail]);
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &panel[kk * NR..(kk + 1) * NR];
             for (lane, &b) in acc.iter_mut().zip(brow.iter()) {
                 *lane += av * b;
             }
         }
-        c[i * n + col0..i * n + col0 + tail].copy_from_slice(&acc[..tail]);
+        finish_lanes::<ADD_ONCE>(&mut c[i * n + col0..i * n + col0 + tail], &acc[..tail]);
     }
 }
 
@@ -417,10 +548,41 @@ fn tail_from_panel(
 // Explicit x86_64 SIMD kernels.
 // ---------------------------------------------------------------------
 
+/// Lane accumulators of one 8-column slice of `c`: its values, or `+0`
+/// when the sum is added once at the end.
+///
+/// # Safety
+/// The CPU must support AVX, and `c` must point at 8 readable floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn start8(add_once: bool, c: *const f32) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    if add_once {
+        _mm256_setzero_ps()
+    } else {
+        _mm256_loadu_ps(c)
+    }
+}
+
+/// Stores 8 finished lane sums into `c`, added to its values (`c + sum`)
+/// when the sum is added once.
+///
+/// # Safety
+/// The CPU must support AVX, and `c` must point at 8 writable floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn finish8(add_once: bool, c: *mut f32, acc: std::arch::x86_64::__m256) {
+    use std::arch::x86_64::*;
+    let out = if add_once { _mm256_add_ps(_mm256_loadu_ps(c), acc) } else { acc };
+    _mm256_storeu_ps(c, out);
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn panels_avx(
+unsafe fn panels_avx<const ADD_ONCE: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -439,10 +601,10 @@ unsafe fn panels_avx(
             let a1 = a[(i + 1) * k..].as_ptr();
             let a2 = a[(i + 2) * k..].as_ptr();
             let a3 = a[(i + 3) * k..].as_ptr();
-            let mut acc0 = _mm256_loadu_ps(c[i * n + col0..].as_ptr());
-            let mut acc1 = _mm256_loadu_ps(c[(i + 1) * n + col0..].as_ptr());
-            let mut acc2 = _mm256_loadu_ps(c[(i + 2) * n + col0..].as_ptr());
-            let mut acc3 = _mm256_loadu_ps(c[(i + 3) * n + col0..].as_ptr());
+            let mut acc0 = start8(ADD_ONCE, c[i * n + col0..].as_ptr());
+            let mut acc1 = start8(ADD_ONCE, c[(i + 1) * n + col0..].as_ptr());
+            let mut acc2 = start8(ADD_ONCE, c[(i + 2) * n + col0..].as_ptr());
+            let mut acc3 = start8(ADD_ONCE, c[(i + 3) * n + col0..].as_ptr());
             for kk in 0..k {
                 let b = _mm256_loadu_ps(panel.add(kk * NR));
                 // mul + add (not fused): identical rounding to the scalar
@@ -452,23 +614,63 @@ unsafe fn panels_avx(
                 acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(*a2.add(kk)), b));
                 acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(*a3.add(kk)), b));
             }
-            _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), acc0);
-            _mm256_storeu_ps(c[(i + 1) * n + col0..].as_mut_ptr(), acc1);
-            _mm256_storeu_ps(c[(i + 2) * n + col0..].as_mut_ptr(), acc2);
-            _mm256_storeu_ps(c[(i + 3) * n + col0..].as_mut_ptr(), acc3);
+            finish8(ADD_ONCE, c[i * n + col0..].as_mut_ptr(), acc0);
+            finish8(ADD_ONCE, c[(i + 1) * n + col0..].as_mut_ptr(), acc1);
+            finish8(ADD_ONCE, c[(i + 2) * n + col0..].as_mut_ptr(), acc2);
+            finish8(ADD_ONCE, c[(i + 3) * n + col0..].as_mut_ptr(), acc3);
             i += MR;
         }
         while i < m {
             let arow = a[i * k..].as_ptr();
-            let mut acc = _mm256_loadu_ps(c[i * n + col0..].as_ptr());
+            let mut acc = start8(ADD_ONCE, c[i * n + col0..].as_ptr());
             for kk in 0..k {
                 let b = _mm256_loadu_ps(panel.add(kk * NR));
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(*arow.add(kk)), b));
             }
-            _mm256_storeu_ps(c[i * n + col0..].as_mut_ptr(), acc);
+            finish8(ADD_ONCE, c[i * n + col0..].as_mut_ptr(), acc);
             i += 1;
         }
     }
+}
+
+/// [`start8`] at 16 lanes, loading only the `mask` lanes of `c`.
+///
+/// # Safety
+/// The CPU must support AVX-512F, and the `mask` lanes of `c` must be
+/// readable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn start16(
+    add_once: bool,
+    mask: std::arch::x86_64::__mmask16,
+    c: *const f32,
+) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    if add_once {
+        _mm512_setzero_ps()
+    } else {
+        _mm512_maskz_loadu_ps(mask, c)
+    }
+}
+
+/// [`finish8`] at 16 lanes, touching only the `mask` lanes of `c`.
+///
+/// # Safety
+/// The CPU must support AVX-512F, and the `mask` lanes of `c` must be
+/// writable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn finish16(
+    add_once: bool,
+    mask: std::arch::x86_64::__mmask16,
+    c: *mut f32,
+    acc: std::arch::x86_64::__m512,
+) {
+    use std::arch::x86_64::*;
+    let out = if add_once { _mm512_add_ps(_mm512_maskz_loadu_ps(mask, c), acc) } else { acc };
+    _mm512_mask_storeu_ps(c, mask, out);
 }
 
 /// The 16-lane kernel over every panel of `packed` (packed at width
@@ -480,7 +682,14 @@ unsafe fn panels_avx(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn panels_avx512(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32], c: &mut [f32]) {
+unsafe fn panels_avx512<const ADD_ONCE: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &[f32],
+    c: &mut [f32],
+) {
     use std::arch::x86_64::*;
     for p in 0..n.div_ceil(NR16) {
         let panel = packed[p * k * NR16..(p + 1) * k * NR16].as_ptr();
@@ -496,10 +705,10 @@ unsafe fn panels_avx512(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32],
             let a1 = a[(i + 1) * k..].as_ptr();
             let a2 = a[(i + 2) * k..].as_ptr();
             let a3 = a[(i + 3) * k..].as_ptr();
-            let mut acc0 = _mm512_maskz_loadu_ps(mask, c_at(i));
-            let mut acc1 = _mm512_maskz_loadu_ps(mask, c_at(i + 1));
-            let mut acc2 = _mm512_maskz_loadu_ps(mask, c_at(i + 2));
-            let mut acc3 = _mm512_maskz_loadu_ps(mask, c_at(i + 3));
+            let mut acc0 = start16(ADD_ONCE, mask, c_at(i));
+            let mut acc1 = start16(ADD_ONCE, mask, c_at(i + 1));
+            let mut acc2 = start16(ADD_ONCE, mask, c_at(i + 2));
+            let mut acc3 = start16(ADD_ONCE, mask, c_at(i + 3));
             for kk in 0..k {
                 let b = _mm512_loadu_ps(panel.add(kk * NR16));
                 // mul + add (not fused), as in the AVX kernel.
@@ -508,20 +717,20 @@ unsafe fn panels_avx512(m: usize, k: usize, n: usize, a: &[f32], packed: &[f32],
                 acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*a2.add(kk)), b));
                 acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*a3.add(kk)), b));
             }
-            _mm512_mask_storeu_ps(c_at(i), mask, acc0);
-            _mm512_mask_storeu_ps(c_at(i + 1), mask, acc1);
-            _mm512_mask_storeu_ps(c_at(i + 2), mask, acc2);
-            _mm512_mask_storeu_ps(c_at(i + 3), mask, acc3);
+            finish16(ADD_ONCE, mask, c_at(i), acc0);
+            finish16(ADD_ONCE, mask, c_at(i + 1), acc1);
+            finish16(ADD_ONCE, mask, c_at(i + 2), acc2);
+            finish16(ADD_ONCE, mask, c_at(i + 3), acc3);
             i += MR;
         }
         while i < m {
             let arow = a[i * k..].as_ptr();
-            let mut acc = _mm512_maskz_loadu_ps(mask, c_at(i));
+            let mut acc = start16(ADD_ONCE, mask, c_at(i));
             for kk in 0..k {
                 let b = _mm512_loadu_ps(panel.add(kk * NR16));
                 acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(*arow.add(kk)), b));
             }
-            _mm512_mask_storeu_ps(c_at(i), mask, acc);
+            finish16(ADD_ONCE, mask, c_at(i), acc);
             i += 1;
         }
     }

@@ -20,6 +20,7 @@ pub mod stats;
 pub mod vecops;
 pub mod workspace;
 
+pub use gemm::PackedRhs;
 pub use init::{uniform_in, xavier_uniform};
 pub use matrix::Matrix;
 pub use workspace::Workspace;

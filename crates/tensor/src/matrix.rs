@@ -2,6 +2,7 @@
 //! network and classical ML crates.
 
 use crate::act;
+use crate::gemm::PackedRhs;
 use std::fmt;
 use std::ops::Range;
 
@@ -284,6 +285,48 @@ impl Matrix {
             &rhs.data,
             &mut out.data,
         );
+    }
+
+    /// Adds `self^T * rhs`, summed from zero, into `out` once:
+    /// `out += (self^T * rhs)`.
+    ///
+    /// The bits equal [`Matrix::matmul_tn_into`] into a temporary
+    /// followed by `out.add_assign(&tmp)`, without the temporary, its
+    /// zero-fill or the second pass over `out` (see
+    /// [`crate::gemm::gemm_tn_add_once`]).
+    pub fn matmul_tn_add_once(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "matmul_tn: row counts differ ({}x{} ^T * {}x{})",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(out.shape(), (self.cols, rhs.cols), "matmul_tn_add_once: out shape mismatch");
+        crate::gemm::gemm_tn_add_once(
+            self.rows,
+            self.cols,
+            rhs.cols,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
+    }
+
+    /// Writes `self * b^T` into `out` (reshaped to `rows x b.rows`) for a
+    /// `b` packed once into `rhs` by [`PackedRhs::pack_transposed`]: the
+    /// bits of [`Matrix::matmul_nt_into`] on the unpacked `b`.
+    pub fn matmul_packed_into(&self, rhs: &PackedRhs, out: &mut Matrix) {
+        assert_eq!(
+            self.cols,
+            rhs.rows(),
+            "matmul: inner dimensions differ ({}x{} * packed {}x{})",
+            self.rows,
+            self.cols,
+            rhs.rows(),
+            rhs.cols()
+        );
+        out.reset(self.rows, rhs.cols());
+        out.fill_zero();
+        crate::gemm::gemm_packed_acc(self.rows, &self.data, rhs, &mut out.data);
     }
 
     /// Matrix product `self * rhs^T` without materializing the transpose.

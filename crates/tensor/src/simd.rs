@@ -12,10 +12,11 @@ use std::sync::OnceLock;
 
 /// A vector path of the `act` and `gemm` kernels, narrowest first. Each
 /// path's CPU features include those of every narrower one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Simd {
     /// No explicit vector code: scalar activations and the
     /// autovectorized GEMM kernel.
+    #[default]
     Scalar,
     /// AVX: the 8-lane GEMM kernel; activations stay scalar.
     Avx,

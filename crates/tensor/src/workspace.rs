@@ -1,20 +1,22 @@
 //! A scratch-buffer arena for allocation-free inner loops.
 //!
 //! Training and inference kernels need many short-lived intermediate
-//! matrices per step (gate pre-activations, transposed weights, per-layer
-//! deltas). Allocating them fresh every step dominates the runtime of
+//! matrices per step (gate pre-activations, per-layer deltas), and the
+//! backward packs transposed weights for the GEMM kernels once per pass. Allocating them fresh every step dominates the runtime of
 //! small models, so hot paths borrow buffers from a [`Workspace`] instead:
 //! `take` hands out a reshaped buffer (recycling a previous allocation
 //! when one is big enough) and `recycle` returns it to the pool once the
 //! caller is done. Buffers from `take` have **unspecified contents**; use
 //! [`Workspace::take_zeroed`] when the kernel accumulates.
 
+use crate::gemm::PackedRhs;
 use crate::matrix::Matrix;
 
-/// Pool of reusable [`Matrix`] buffers.
+/// Pool of reusable [`Matrix`] buffers and packed GEMM operands.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     pool: Vec<Matrix>,
+    packs: Vec<PackedRhs>,
 }
 
 impl Workspace {
@@ -53,6 +55,21 @@ impl Workspace {
     /// Returns a buffer to the pool for later reuse.
     pub fn recycle(&mut self, m: Matrix) {
         self.pool.push(m);
+    }
+
+    /// `bᵀ` packed as the rhs of `a · bᵀ` ([`PackedRhs::pack_transposed`])
+    /// into a pooled buffer. A buffer keeps the largest operand it has
+    /// held, so a pass that packs the same operands every time stops
+    /// allocating.
+    pub fn pack_transposed(&mut self, b: &Matrix) -> PackedRhs {
+        let mut p = self.packs.pop().unwrap_or_default();
+        p.pack_transposed(b);
+        p
+    }
+
+    /// Returns a packed operand to the pool for later reuse.
+    pub fn recycle_packed(&mut self, p: PackedRhs) {
+        self.packs.push(p);
     }
 
     /// Shapes `seq` to exactly `len` matrices of `rows x cols` each,
